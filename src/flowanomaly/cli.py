@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from . import anomaly, evaluation, models, recordio, routeinfer, synth
@@ -25,6 +25,7 @@ from .core import (
     validate_record,
 )
 from .errors import FlowError
+from .recordio import format_float as _fmt, write_lines
 
 ROUTES_HEADER = "service_id,seq,stop,cumulative_m"
 SCORED_HEADER = (
@@ -36,16 +37,6 @@ REPORT_HEADER = (
     "observed_s,expected_s,segments,window_start,window_end,provenance"
 )
 DAILY_HEADER = "date,mean_count,median_count,mean_alpha,median_alpha"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _write_text(path: str, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -71,35 +62,29 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# TrainConfig's fields as flags and config keys, cast by the type of their default.
+_TRAIN_TUNABLES = {
+    f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
+    for f in fields(models.TrainConfig)
+}
+
 # dest -> (caster, default); None default means the flag is optional with no value.
 _TUNABLES: dict[str, dict[str, tuple]] = {
     "train": {
-        "eta": (float, 1e-3),
-        "tau": (float, 1e-4),
-        "psi": (float, 1e-3),
-        "epochs": (int, 30),
-        "c_min": (float, 0.1),
-        "shuffle_seed": (int, 0),
-        "variance_refresh": (_parse_bool, True),
+        **_TRAIN_TUNABLES,
         "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
         "kind": (str, models.KIND_EDGE),
     },
     "crossval": {
-        "eta": (float, 1e-3),
-        "tau": (float, 1e-4),
-        "psi": (float, 1e-3),
-        "epochs": (int, 30),
-        "c_min": (float, 0.1),
-        "shuffle_seed": (int, 0),
-        "variance_refresh": (_parse_bool, True),
+        **_TRAIN_TUNABLES,
         "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
         "folds": (int, 5),
         "kinds": (str, ",".join(models.MODEL_KINDS)),
         "seed": (int, 0),
     },
     "detect": {
-        "delta_quantile": (float, 0.01),
-        "delta_override": (float, None),
+        "delta_quantile": (float, anomaly.DetectConfig.delta_quantile),
+        "delta_override": (float, anomaly.DetectConfig.delta_override),
         "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
     },
     "localize": {},
@@ -130,9 +115,16 @@ _TUNABLES: dict[str, dict[str, tuple]] = {
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset tunables from the config file, then from hard defaults."""
+    """Fill unset tunables from the config file, then from hard defaults.
+
+    One file may serve several subcommands, so a key is rejected only when no
+    subcommand knows it.
+    """
     table = _TUNABLES.get(args.command, {})
     file_values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values).difference(*_TUNABLES.values()))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for dest, (caster, default) in table.items():
         if getattr(args, dest, None) is not None:
             continue
@@ -163,7 +155,7 @@ def _write_routes(routes: Sequence[ServiceRoute], path: str) -> None:
     for route in sorted(routes, key=lambda r: r.service_id):
         for seq, (stop, cum) in enumerate(zip(route.stops, route.cumulative_m)):
             lines.append(f"{route.service_id},{seq},{stop},{_fmt(cum)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def _load_routes(path: str) -> list[ServiceRoute]:
@@ -213,15 +205,7 @@ def _validated(
 
 
 def _train_config(args: argparse.Namespace) -> models.TrainConfig:
-    return models.TrainConfig(
-        eta=args.eta,
-        tau=args.tau,
-        psi=args.psi,
-        epochs=args.epochs,
-        c_min=args.c_min,
-        shuffle_seed=args.shuffle_seed,
-        variance_refresh=args.variance_refresh,
-    )
+    return models.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_TUNABLES})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -332,10 +316,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if sse_rows is None:
             if paths is None:
                 paths = resolve_paths(network, records)
-            sse_rows = [evaluation.sse(model, records, paths)]
+            sse_rows = [models.sse(model, records, paths)]
         lines = ["epoch,sse"]
         lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sse_rows)]
-        _write_text(args.out_sse, lines)
+        write_lines(args.out_sse, lines)
     print(f"trained kind={args.kind} records={len(records)} sigma2={_fmt(model.sigma2)}")
     return 0
 
@@ -354,7 +338,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
             f"{row.fold},{row.kind},{_fmt(row.train_rmse)},"
             f"{_fmt(row.test_rmse)},{row.excluded}"
         )
-    _write_text(args.out, lines)
+    write_lines(args.out, lines)
     for kind in kinds:
         print(f"mean_test_rmse kind={kind} value={_fmt(result.mean_test_rmse(kind))}")
     return 0
@@ -383,7 +367,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"{_fmt(s.expected_s)},{_fmt(s.alpha)},"
             f"{1 if r.record_id in keep else 0}"
         )
-    _write_text(args.out, lines)
+    write_lines(args.out, lines)
     print(f"scored={len(scored)} significant={len(significant)} delta={_fmt(delta)}")
     return 0
 
@@ -450,7 +434,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
                 f"{_fmt(r.observed_s)},{_fmt(rep.scored.expected_s)},"
                 f"{segs},{_fmt(w0)},{_fmt(w1)},{rep.provenance}"
             )
-    _write_text(args.out_report, lines)
+    write_lines(args.out_report, lines)
     daily = anomaly.daily_series(reports)
     daily_lines = [DAILY_HEADER]
     for row in daily:
@@ -458,20 +442,25 @@ def _cmd_localize(args: argparse.Namespace) -> int:
             f"{row.date},{_fmt(row.mean_count)},{_fmt(row.median_count)},"
             f"{_fmt(row.mean_alpha)},{_fmt(row.median_alpha)}"
         )
-    _write_text(args.out_daily, daily_lines)
+    write_lines(args.out_daily, daily_lines)
     print(f"reports={len(reports)} days={len(daily)}")
     return 0
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field; a boolean field that defaults on gets --no-<name>."""
+    for dest, (caster, default) in _TRAIN_TUNABLES.items():
+        flag = dest.replace("_", "-")
+        if caster is _parse_bool:
+            p.add_argument(f"--no-{flag}", dest=dest, action="store_const", const=not default)
+        else:
+            p.add_argument(f"--{flag}", type=caster)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowanomaly",
         description="Detect and localize flow anomalies from origin/destination records.",
-    )
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential execution (execution is always sequential; accepted for compatibility)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -509,18 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model")
     p.add_argument("--out-sse")
     p.add_argument("--kind")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--psi", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--c-min", type=float)
-    p.add_argument("--shuffle-seed", type=int)
-    p.add_argument(
-        "--no-variance-refresh",
-        dest="variance_refresh",
-        action="store_const",
-        const=False,
-    )
+    _add_train_flags(p)
     p.add_argument("--eps-d", type=float)
 
     p = sub.add_parser("crossval", help="k-fold cross validation over model kinds")
@@ -530,18 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--kinds")
     p.add_argument("--seed", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--psi", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--c-min", type=float)
-    p.add_argument("--shuffle-seed", type=int)
-    p.add_argument(
-        "--no-variance-refresh",
-        dest="variance_refresh",
-        action="store_const",
-        const=False,
-    )
+    _add_train_flags(p)
     p.add_argument("--eps-d", type=float)
 
     p = sub.add_parser("detect", help="score records and filter the significant set")
@@ -585,7 +552,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config(args)
         return _COMMANDS[args.command](args)
-    except (FlowError, ValueError, OSError) as exc:
+    except (FlowError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ ingestion boundary, never here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -136,12 +136,17 @@ class FlowRecord:
 class NetworkGraph:
     """Immutable network: nodes, directed segments, and per-service routes.
 
-    Safe for concurrent read-only sharing once built.
+    Safe for concurrent read-only sharing once built. The only mutable part is
+    resolve_path's memo of resolved paths; a concurrent fill is a benign race
+    that at worst builds two equal Path objects for one key.
     """
 
     nodes: frozenset[NodeId]
     segments: dict[tuple[NodeId, NodeId], Segment]
     routes: dict[str, ServiceRoute]
+    _paths: dict[tuple[str, NodeId, NodeId], Path] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def build_network(
@@ -178,7 +183,15 @@ def build_network(
 def resolve_path(
     g: NetworkGraph, service_id: str, origin: NodeId, destination: NodeId
 ) -> Path:
-    """Return the contiguous sub-path of a service between two of its stops."""
+    """Return the contiguous sub-path of a service between two of its stops.
+
+    Paths are memoized on the network per (service, origin, destination), so
+    every caller asking for the same stretch gets the same Path object.
+    """
+    key = (service_id, origin, destination)
+    path = g._paths.get(key)
+    if path is not None:
+        return path
     route = g.routes.get(service_id)
     if route is None:
         raise UnknownService(service_id)
@@ -195,7 +208,8 @@ def resolve_path(
     segs = tuple(
         g.segments[(route.stops[k], route.stops[k + 1])] for k in range(i, j)
     )
-    return Path(segs)
+    path = g._paths[key] = Path(segs)
+    return path
 
 
 def validate_record(
@@ -209,14 +223,5 @@ def validate_record(
 
 
 def resolve_paths(g: NetworkGraph, records: Sequence[FlowRecord]) -> list[Path]:
-    """Resolve every record's path, memoizing by (service, origin, destination)."""
-    cache: dict[tuple[str, NodeId, NodeId], Path] = {}
-    paths = []
-    for r in records:
-        key = (r.service_id, r.origin, r.destination)
-        path = cache.get(key)
-        if path is None:
-            path = resolve_path(g, r.service_id, r.origin, r.destination)
-            cache[key] = path
-        paths.append(path)
-    return paths
+    """Resolve every record's path; records on the same stretch share one Path."""
+    return [resolve_path(g, r.service_id, r.origin, r.destination) for r in records]

@@ -18,9 +18,9 @@ from .models import (
     MODEL_KINDS,
     Model,
     TrainConfig,
-    expected_time,
     fit_baseline1,
     fit_baseline2,
+    sse,
     train_edge_model,
 )
 
@@ -52,14 +52,6 @@ class CrossValResult:
         if not values:
             raise ValueError(f"no rows for kind {kind!r}")
         return sum(values) / len(values)
-
-
-def sse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:
-    """Sum of squared residuals between expected and observed times."""
-    total = 0.0
-    for r, p in zip(records, paths):
-        total += (expected_time(model, p, r.distance_m) - r.observed_s) ** 2
-    return total
 
 
 def rmse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:

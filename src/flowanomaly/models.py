@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveVariance,
     SegmentNotOnPath,
 )
+from .recordio import format_float, write_lines
 
 KIND_BASELINE1 = "baseline1"
 KIND_BASELINE2 = "baseline2"
@@ -54,6 +55,8 @@ class TrainConfig:
     variance_refresh: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.tau, self.psi, self.c_min))):
+            raise ValueError("eta, tau, psi and c_min must be finite")
         if not self.eta > 0:
             raise ValueError("eta must be > 0")
         if self.tau < 0 or self.psi < 0:
@@ -198,6 +201,28 @@ def log_likelihood(
     return value
 
 
+def _partials(
+    segs: Sequence[Segment], speeds: Sequence[float], base: float, tau: float, psi: float
+) -> list[float]:
+    """Per-segment partials of one record's objective, in path order.
+
+    speeds are the path's segment speeds, base is the residual over
+    d_r * sigma2, and psi is 0 unless the model is smoothed.
+    """
+    n = len(segs)
+    out = []
+    for i, seg in enumerate(segs):
+        c = speeds[i]
+        grad = -base * seg.distance_m / (c * c) + tau / c
+        if psi:
+            if i + 1 < n:
+                grad -= psi * (c - speeds[i + 1])
+            if i > 0:
+                grad += psi * (speeds[i - 1] - c)
+        out.append(grad)
+    return out
+
+
 def gradient(
     model: EdgeModel,
     r: FlowRecord,
@@ -207,29 +232,14 @@ def gradient(
 ) -> float:
     """Partial derivative of the per-record objective w.r.t. one segment speed."""
     key = segment.key if isinstance(segment, Segment) else tuple(segment)
-    index = None
-    for i, seg in enumerate(path.segments):
-        if seg.key == key:
-            index = i
-            break
-    if index is None:
+    keys = [seg.key for seg in path.segments]
+    if key not in keys:
         raise SegmentNotOnPath(key[0], key[1])
     expect = expected_time(model, path, r.distance_m)
-    residual = r.observed_s - expect
-    denom = r.distance_m * max(model.sigma2, SIGMA2_FLOOR)
-    seg = path.segments[index]
-    c = model.c_by_segment[seg.key]
-    value = -(residual / denom) * seg.distance_m / (c * c)
-    if cfg.tau:
-        value += cfg.tau / c
-    if model.smoothed and cfg.psi:
-        if index + 1 < len(path.segments):
-            c_next = model.c_by_segment[path.segments[index + 1].key]
-            value -= cfg.psi * (c - c_next)
-        if index > 0:
-            c_prev = model.c_by_segment[path.segments[index - 1].key]
-            value += cfg.psi * (c_prev - c)
-    return value
+    base = (r.observed_s - expect) / (r.distance_m * max(model.sigma2, SIGMA2_FLOOR))
+    speeds = [model.c_by_segment[k] for k in keys]
+    psi = cfg.psi if model.smoothed else 0.0
+    return _partials(path.segments, speeds, base, cfg.tau, psi)[keys.index(key)]
 
 
 def init_edge_model(
@@ -246,17 +256,30 @@ def init_edge_model(
     return EdgeModel(c_by_segment=speeds, sigma2=base.sigma2, smoothed=smoothed)
 
 
+def _residual_pass(
+    model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]
+) -> tuple[float, float]:
+    """Sum of squared residuals and total distance, in one left-to-right pass."""
+    resid_sq = 0.0
+    total_d = 0.0
+    for r, p in zip(records, paths):
+        resid_sq += (r.observed_s - expected_time(model, p, r.distance_m)) ** 2
+        total_d += r.distance_m
+    return resid_sq, total_d
+
+
+def sse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:
+    """Sum of squared residuals between expected and observed times."""
+    return _residual_pass(model, records, paths)[0]
+
+
 def estimate_variance(
     model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]
 ) -> float:
     """Residual-based variance: sum of squared residuals over total distance."""
     if not records:
         raise EmptyInput("estimate_variance needs records")
-    resid_sq = 0.0
-    total_d = 0.0
-    for r, p in zip(records, paths):
-        resid_sq += (r.observed_s - expected_time(model, p, r.distance_m)) ** 2
-        total_d += r.distance_m
+    resid_sq, total_d = _residual_pass(model, records, paths)
     return resid_sq / total_d
 
 
@@ -276,11 +299,13 @@ def sgd_epoch(
     re-estimated at epoch end. Returns the model and the post-epoch sum of
     squared residuals.
     """
+    if not records:
+        raise EmptyInput("sgd_epoch needs records")
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
     order = rng.permutation(len(records)) if model.sigma2 >= SIGMA2_FLOOR else ()
     speeds = model.c_by_segment
-    eta, tau, psi = cfg.eta, cfg.tau, cfg.psi
-    smoothing = model.smoothed and psi > 0
+    eta, tau, c_min = cfg.eta, cfg.tau, cfg.c_min
+    psi = cfg.psi if model.smoothed else 0.0
     sigma2 = model.sigma2
     for idx in order:
         r = records[idx]
@@ -294,23 +319,14 @@ def sgd_epoch(
             segment_speeds.append(c)
             expect += seg.distance_m / c
         base = (r.observed_s - expect) / (r.distance_m * sigma2)
-        n = len(segs)
-        for i, seg in enumerate(segs):
-            c = segment_speeds[i]
-            grad = -base * seg.distance_m / (c * c) + tau / c
-            if smoothing:
-                if i + 1 < n:
-                    grad -= psi * (c - segment_speeds[i + 1])
-                if i > 0:
-                    grad += psi * (segment_speeds[i - 1] - c)
+        grads = _partials(segs, segment_speeds, base, tau, psi)
+        for seg, c, grad in zip(segs, segment_speeds, grads):
             updated = c + eta * grad
-            speeds[seg.key] = updated if updated > cfg.c_min else cfg.c_min
+            speeds[seg.key] = updated if updated > c_min else c_min
+    resid_sq, total_d = _residual_pass(model, records, paths)
     if cfg.variance_refresh:
-        model.sigma2 = estimate_variance(model, records, paths)
-    sse = 0.0
-    for r, p in zip(records, paths):
-        sse += (expected_time(model, p, r.distance_m) - r.observed_s) ** 2
-    return model, sse
+        model.sigma2 = resid_sq / total_d
+    return model, resid_sq
 
 
 def train_edge_model(
@@ -333,28 +349,19 @@ def train_edge_model(
     return model, result
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def save_model(model: Model, dest: str | IO[str]) -> None:
     """Write a model in the line-oriented text format (17 significant digits)."""
-    lines = [f"model {model.kind} sigma2={_fmt(model.sigma2)}"]
+    lines = [f"model {model.kind} sigma2={format_float(model.sigma2)}"]
     if isinstance(model, Baseline1Model):
-        lines.append(f"global {_fmt(model.c)}")
+        lines.append(f"global {format_float(model.c)}")
     elif isinstance(model, Baseline2Model):
-        lines.append(f"global {_fmt(model.fallback_c)}")
+        lines.append(f"global {format_float(model.fallback_c)}")
         for key in sorted(model.c_by_path):
-            lines.append(f"path {key} {_fmt(model.c_by_path[key])}")
+            lines.append(f"path {key} {format_float(model.c_by_path[key])}")
     else:
         for key in sorted(model.c_by_segment):
-            lines.append(f"seg {key[0]} {key[1]} {_fmt(model.c_by_segment[key])}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+            lines.append(f"seg {key[0]} {key[1]} {format_float(model.c_by_segment[key])}")
+    write_lines(dest, lines)
 
 
 def load_model(source: str | IO[str]) -> Model:

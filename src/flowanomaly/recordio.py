@@ -2,14 +2,15 @@
 
 Rows are `record_id,service_id,board_stop,alight_stop,board_time,alight_time,
 distance_m` with a mandatory header. Times are epoch seconds or ISO-8601 with
-a UTC offset; distances are meters. Malformed rows are skipped and reported
-with their line numbers, never silently dropped.
+a UTC offset; distances are meters. Malformed rows, including non-finite
+times or distances, are skipped and reported with their line numbers, never
+silently dropped.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import IO, Iterable, Sequence
@@ -38,9 +39,13 @@ def parse_timestamp(text: str) -> float:
     """Epoch seconds from a float literal or an offset-carrying ISO-8601 string."""
     token = text.strip()
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"time {text!r} is not finite")
+        return value
     if token.endswith(("Z", "z")):
         token = token[:-1] + "+00:00"
     try:
@@ -71,6 +76,8 @@ def _parse_row(row: Sequence[str]) -> FlowRecord:
     t_start = parse_timestamp(row[4])
     t_end = parse_timestamp(row[5])
     distance = float(row[6])
+    if not math.isfinite(distance):
+        raise ValueError(f"distance {row[6]!r} is not finite")
     return FlowRecord(
         record_id=record_id,
         service_id=service_id,
@@ -124,21 +131,31 @@ def parse_records(
             fh.close()
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: float(format_float(x)) == x for every finite x."""
     return format(x, ".17g")
+
+
+def write_lines(dest: str | IO[str], lines: Iterable[str]) -> None:
+    """Write each line plus a newline to a path (UTF-8) or an open text stream.
+
+    Lines go out one at a time, so no second copy of the whole file is built.
+    """
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            write_lines(fh, lines)
+    else:
+        for line in lines:
+            dest.write(line + "\n")
 
 
 def write_records(records: Iterable[FlowRecord], dest: str | IO[str]) -> None:
     """Write records in the same format parse_records reads, bit-exact floats."""
-    buf = io.StringIO()
-    buf.write(",".join(RECORD_HEADER) + "\n")
+    lines = [",".join(RECORD_HEADER)]
     for r in records:
-        buf.write(
+        lines.append(
             f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
-            f"{_fmt(r.t_start)},{_fmt(r.t_end)},{_fmt(r.distance_m)}\n"
+            f"{format_float(r.t_start)},{format_float(r.t_end)},"
+            f"{format_float(r.distance_m)}"
         )
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
-    else:
-        dest.write(buf.getvalue())
+    write_lines(dest, lines)

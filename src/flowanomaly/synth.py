@@ -14,6 +14,7 @@ from typing import IO
 import numpy as np
 
 from .core import NetworkGraph, FlowRecord, NodeId, ServiceRoute, build_network
+from .recordio import format_float, write_lines
 
 # Per-segment times are truncated below at distance over this speed so a
 # Gaussian tail cannot produce superluminal (or negative) travel.
@@ -198,27 +199,19 @@ def generate_records(
     return records, truncated
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_truth(truth: SynthTruth, dest: str | IO[str]) -> None:
     """Truth sidecar: one row per segment with its speed and any planted window."""
     lines = ["from,to,true_speed_mps,window_start,window_end,slowdown_factor"]
     cong = truth.congestion
     for key in sorted(truth.true_speed):
-        row = [key[0], key[1], _fmt(truth.true_speed[key])]
+        row = [key[0], key[1], format_float(truth.true_speed[key])]
         if cong is not None and key == (cong.from_node, cong.to_node):
-            row += [_fmt(cong.window_start), _fmt(cong.window_end), _fmt(cong.slowdown_factor)]
+            window = (cong.window_start, cong.window_end, cong.slowdown_factor)
+            row += [format_float(v) for v in window]
         else:
             row += ["", "", ""]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    write_lines(dest, lines)
 
 
 def load_truth(source: str) -> tuple[dict[tuple[str, str], float], PlantedCongestion | None]:

@@ -30,6 +30,15 @@ def simulate_small(tmp_path, seed=1, n_records=300, congest=False):
     return rec_path, truth_path
 
 
+def append_bad_row(rec_path, field, value):
+    """Append a copy of the first row with one field replaced; return its line number."""
+    lines = rec_path.read_text().splitlines()
+    bad = lines[1].split(",")
+    bad[0], bad[field] = "bad1", value
+    rec_path.write_text("\n".join(lines + [",".join(bad)]) + "\n")
+    return len(lines) + 1
+
+
 class TestValidation:
     def test_train_zero_epochs(self, tmp_path, capsys):
         rec_path, _ = simulate_small(tmp_path)
@@ -78,6 +87,58 @@ class TestValidation:
                    "--congest-index", "0")
         assert code != 0
         assert "congest" in capsys.readouterr().err
+
+    def test_config_key_no_subcommand_knows_is_rejected(self, tmp_path, capsys):
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epoch=1\n")
+        capsys.readouterr()
+        code = run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--config", str(cfg), "--out-model", str(tmp_path / "m.txt"))
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epoch" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.txt").exists()
+        # a key another subcommand reads stays allowed in a shared file
+        cfg.write_text("epochs=2\ndelta_quantile=0.05\n")
+        sse_path = tmp_path / "sse.csv"
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--config", str(cfg), "--out-model", str(tmp_path / "m.txt"),
+                   "--out-sse", str(sse_path)) == 0
+        assert len(sse_path.read_text().splitlines()) == 3
+
+    def test_one_inf_distance_row_keeps_its_service(self, tmp_path, capsys):
+        rec_path, _ = simulate_small(tmp_path)
+        line_no = append_bad_row(rec_path, 6, "inf")
+        routes = tmp_path / "routes.csv"
+        rejects = tmp_path / "rej.csv"
+        capsys.readouterr()
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes), "--out-rejects", str(rejects)) == 0
+        captured = capsys.readouterr()
+        assert "accepted=2 rejected=0 parse_rejected=1" in captured.out
+        assert f"reject line={line_no} reason=distance 'inf' is not finite" in captured.err
+        assert rejects.read_text().splitlines() == ["service_id,reason"]
+
+    def test_overflow_is_one_error_line(self, tmp_path, capsys):
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        append_bad_row(rec_path, 4, "-1e300")
+        capsys.readouterr()
+        code = run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "baseline1", "--out-model", str(tmp_path / "m.txt"))
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestPipeline:

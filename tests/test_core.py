@@ -176,3 +176,10 @@ class TestPathProperties:
         ]
         paths = resolve_paths(line_network, records)
         assert all(p is paths[0] for p in paths)
+        # one memo on the network serves every resolver
+        again = resolve_path(line_network, "s1", "a", "c")
+        assert again is paths[0]
+        full = make_record(origin="a", destination="c", distance_m=200.0)
+        assert validate_record(line_network, full) is again
+        assert resolve_paths(line_network, records[:1])[0] is again
+        assert resolve_path(line_network, "s1", "a", "d") is not again

@@ -4,8 +4,8 @@ import pytest
 
 from flowanomaly.core import build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
-from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse, sse
-from flowanomaly.models import Baseline1Model, TrainConfig, fit_baseline1
+from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
+from flowanomaly.models import Baseline1Model, TrainConfig, fit_baseline1, sse
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
 from conftest import chain_path, make_record, make_route

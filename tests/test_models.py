@@ -27,6 +27,7 @@ from flowanomaly.models import (
     path_key,
     save_model,
     sgd_epoch,
+    sse,
     train_edge_model,
 )
 from flowanomaly.synth import SynthConfig, SynthTruth, generate_records
@@ -347,6 +348,52 @@ class TestSgdEpoch:
         c_edge = edge.c_by_segment[("a", "b")]
         assert math.isclose(b1.c, b2.c_by_path["a>b"], rel_tol=1e-12)
         assert math.isclose(c_edge, b1.c, rel_tol=1e-6)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["eta", "tau", "psi", "c_min"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
+
+class TestSgdSharesKernels:
+    """sgd_epoch applies gradient()'s partials and reports sse()/estimate_variance()."""
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_single_record_step_is_eta_times_gradient(self, smoothed):
+        path = chain_path("abcd", [300.0, 500.0, 400.0])
+        net = build_network([make_route("s1", "abcd", (0.0, 300.0, 800.0, 1200.0))])
+        before = EdgeModel({("a", "b"): 6.0, ("b", "c"): 9.0, ("c", "d"): 4.0},
+                           sigma2=0.7, smoothed=smoothed)
+        r = rec(1200.0, 260.0, origin="a", destination="d")
+        cfg = TrainConfig(eta=0.01, tau=0.05, psi=0.3, c_min=0.1)
+        want = {
+            seg.key: before.c_by_segment[seg.key] + cfg.eta * gradient(before, r, path, seg, cfg)
+            for seg in path.segments
+        }
+        model = EdgeModel(dict(before.c_by_segment), before.sigma2, smoothed)
+        model, _ = sgd_epoch(model, [r], resolve_paths(net, [r]), cfg)
+        assert model.c_by_segment == want
+        assert want != before.c_by_segment
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_returned_sse_and_sigma2_match_the_estimators(self, refresh):
+        truth = two_speed_truth()
+        scfg = SynthConfig(n_services=1, stops_per_service=3, n_records=200,
+                           noise_sigma2=0.05, seed=11)
+        records, _ = generate_records(truth, scfg)
+        paths = resolve_paths(truth.network, records)
+        tcfg = TrainConfig(eta=0.005, shuffle_seed=2, variance_refresh=refresh)
+        model = init_edge_model(truth.network, records, tcfg)
+        sigma2_before = model.sigma2
+        model, got = sgd_epoch(model, records, paths, tcfg, epoch=1)
+        assert got == sse(model, records, paths)
+        if refresh:
+            assert model.sigma2 == estimate_variance(model, records, paths)
+        else:
+            assert model.sigma2 == sigma2_before
 
 
 class TestPathKey:

@@ -78,6 +78,19 @@ class TestParseRecords:
         assert [r.record_id for r in records] == ["r3"]
         assert {rej.line_no for rej in rejects} == {2, 3}
 
+    @pytest.mark.parametrize("row", [
+        "r1,s1,a,b,0,60,inf",
+        "r1,s1,a,b,0,60,nan",
+        "r1,s1,a,b,0,inf,400",
+        "r1,s1,a,b,-inf,60,400",
+        "r1,s1,a,b,nan,60,400",
+    ])
+    def test_non_finite_rejected_with_reason(self, row):
+        records, rejects = parse_text(HEADER + "\n" + row + "\nr2,s1,a,b,0,60,400\n")
+        assert [r.record_id for r in records] == ["r2"]
+        assert rejects[0].line_no == 2
+        assert "not finite" in rejects[0].reason
+
     def test_all_rows_rejected(self):
         text = HEADER + "\nr1,s1,a,b,60,0,400\n"
         with pytest.raises(AllRowsRejected):
