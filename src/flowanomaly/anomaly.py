@@ -5,13 +5,16 @@ sigma*sqrt(distance); records above a cutoff form the significant set. Within
 that set, a record is contained by another when its stop sequence is a
 contiguous stretch of the other's and its times nest strictly inside.
 Containment counts rank the records, and the innermost contained records
-pin down which segments were congested and when.
+pin down which segments were congested and when. Containment is found through
+an index that buckets the significant set by node sequence, so its cost follows
+the number of nested pairs, not the square of the set size.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -113,13 +116,42 @@ def contains(r_outer: ScoredRecord, r_inner: ScoredRecord) -> bool:
     return False
 
 
+def _contained(filtered: Sequence[ScoredRecord]) -> list[list[int]]:
+    """Per record, the ascending indices of the records it contains.
+
+    Records are bucketed by node sequence, each bucket sorted by start time.
+    An outer record looks up each contiguous run of its nodes and bisects that
+    bucket to the starts strictly inside its window, so the scan touches only
+    records that board during its trip: L(L-1)/2 lookups for L nodes plus the
+    candidates found, not n^2.
+    """
+    buckets: dict[tuple, list[tuple[float, float, int]]] = {}
+    for j, s in enumerate(filtered):
+        buckets.setdefault(s.path.nodes, []).append((s.record.t_start, s.record.t_end, j))
+    index = {}
+    for key, entries in buckets.items():
+        entries.sort()
+        index[key] = ([e[0] for e in entries], entries)
+    out = []
+    for s in filtered:
+        nodes, t0, t1 = s.path.nodes, s.record.t_start, s.record.t_end
+        n, inner = len(nodes), []
+        for run in {nodes[a:b] for a in range(n - 1) for b in range(a + 2, n + 1)}:
+            if run in index:
+                starts, entries = index[run]
+                window = entries[bisect_right(starts, t0) : bisect_left(starts, t1)]
+                inner.extend(j for _, end, j in window if end < t1)
+        inner.sort()
+        out.append(inner)
+    return out
+
+
 def containment_counts(filtered: Sequence[ScoredRecord]) -> dict[str, int]:
     """For each record, how many other significant records contain it."""
     counts = {s.record.record_id: 0 for s in filtered}
-    for inner in filtered:
-        for outer in filtered:
-            if outer is not inner and contains(outer, inner):
-                counts[inner.record.record_id] += 1
+    for nested in _contained(filtered):
+        for j in nested:
+            counts[filtered[j].record.record_id] += 1
     return counts
 
 
@@ -142,43 +174,24 @@ def _congestion_entries(
     return entries, PROVENANCE_WITNESS
 
 
-def localize(
-    r_outer: ScoredRecord, filtered: Sequence[ScoredRecord]
-) -> tuple[list[tuple[Segment, float, float]], str]:
-    """Locate the congested stretch of one significant record.
-
-    The innermost records nested inside r_outer (those containing no further
-    significant record) witness the congestion; their segments are returned,
-    each stamped with its witness's time window. A record with nothing nested
-    inside falls back to its own path and window.
-    """
-    inners = [s for s in filtered if contains(r_outer, s)]
-    witnesses = [
-        s for s in inners if not any(contains(s, t) for t in filtered if t is not s)
-    ]
-    return _congestion_entries(r_outer, witnesses)
-
-
 def rank_anomalies(
     filtered: Sequence[ScoredRecord], counts: dict[str, int]
 ) -> list[AnomalyReport]:
     """Order the significant records and localize each one.
 
     Sorted by containment count descending, ratio descending, record id
-    ascending. Pairwise containment is computed once and reused, so the whole
-    ranking is quadratic in the filtered set size.
+    ascending. The innermost records nested in a record (those containing no
+    further significant record) witness its congestion, and their segments are
+    reported, each stamped with its witness's window; a record with none nested
+    falls back to its own path and window. Containment comes from the index of
+    containment_counts, so the cost follows the number of nested pairs, not the
+    square of the set size.
     """
-    n = len(filtered)
-    contains_mat = [[False] * n for _ in range(n)]
-    for i, outer in enumerate(filtered):
-        row = contains_mat[i]
-        for j, inner in enumerate(filtered):
-            if i != j and contains(outer, inner):
-                row[j] = True
-    has_inner = [any(contains_mat[i]) for i in range(n)]
+    contained = _contained(filtered)
+    has_inner = [bool(inner) for inner in contained]
 
     order = sorted(
-        range(n),
+        range(len(filtered)),
         key=lambda i: (
             -counts[filtered[i].record.record_id],
             -filtered[i].alpha,
@@ -188,8 +201,7 @@ def rank_anomalies(
     reports = []
     for i in order:
         outer = filtered[i]
-        witnesses = [filtered[j] for j in range(n)
-                     if contains_mat[i][j] and not has_inner[j]]
+        witnesses = [filtered[j] for j in contained[i] if not has_inner[j]]
         entries, provenance = _congestion_entries(outer, witnesses)
         reports.append(
             AnomalyReport(

@@ -2,9 +2,9 @@
 
 Rows are `record_id,service_id,board_stop,alight_stop,board_time,alight_time,
 distance_m` with a mandatory header. Times are epoch seconds or ISO-8601 with
-a UTC offset; distances are meters. Malformed rows, including non-finite
-times or distances, are skipped and reported with their line numbers, never
-silently dropped.
+a UTC offset, within years 1-9999 UTC; distances are meters. Malformed rows,
+including non-finite times or distances, are skipped and reported with their
+line numbers, never silently dropped.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import IO, Iterable, Sequence
 
 from .core import FlowRecord
@@ -35,26 +35,31 @@ class RejectedRow:
     reason: str
 
 
+# 0001-01-01T00:00Z and 10000-01-01T00:00Z, the bounds of a UTC datetime.
+_EPOCH_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+_EPOCH_MAX = datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp() + 86400.0
+
+
 def parse_timestamp(text: str) -> float:
     """Epoch seconds from a float literal or an offset-carrying ISO-8601 string."""
     token = text.strip()
     try:
         value = float(token)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise ValueError(f"time {text!r} is not finite")
-        return value
-    if token.endswith(("Z", "z")):
-        token = token[:-1] + "+00:00"
-    try:
-        stamp = datetime.fromisoformat(token)
-    except ValueError as exc:
-        raise ValueError(f"unparseable time {text!r}") from exc
-    if stamp.tzinfo is None:
-        raise ValueError(f"time {text!r} has no UTC offset")
-    return stamp.timestamp()
+        if token.endswith(("Z", "z")):
+            token = token[:-1] + "+00:00"
+        try:
+            stamp = datetime.fromisoformat(token)
+        except ValueError as exc:
+            raise ValueError(f"unparseable time {text!r}") from exc
+        if stamp.tzinfo is None:
+            raise ValueError(f"time {text!r} has no UTC offset")
+        value = stamp.timestamp()
+    if not math.isfinite(value):
+        raise ValueError(f"time {text!r} is not finite")
+    if not _EPOCH_MIN <= value < _EPOCH_MAX:
+        raise ValueError(f"time {text!r} is outside years 1-9999 UTC")
+    return value
 
 
 def _check_token(name: str, value: str) -> str:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from flowanomaly.anomaly import (
     contains,
     daily_series,
     filter_significant,
-    localize,
     rank_anomalies,
     score,
 )
@@ -148,7 +148,10 @@ class TestContains:
 
 
 def oracle_counts(filtered):
-    """Independent containment counter: delimited-string node matching."""
+    """Independent containment counter: delimited-string node matching.
+
+    Records sharing a record id add up under that id.
+    """
     counts = {}
     for inner in filtered:
         n = 0
@@ -162,7 +165,7 @@ def oracle_counts(filtered):
             outer_key = "|" + "|".join(outer.path.nodes) + "|"
             if inner_key in outer_key:
                 n += 1
-        counts[inner.record.record_id] = n
+        counts[inner.record.record_id] = counts.get(inner.record.record_id, 0) + n
     return counts
 
 
@@ -175,6 +178,38 @@ def random_scored(rng, n, rid_prefix="r"):
         out.append(scored(f"{rid_prefix}{i}", ROUTE_NODES[a], ROUTE_NODES[b], t0, t1,
                           alpha=float(rng.normal())))
     return out
+
+
+def oracle_localize(r_outer, filtered):
+    """Brute-force congestion entries and provenance of one record, from contains().
+
+    The innermost records nested in r_outer (those containing no further record)
+    are its witnesses, visited by start time then record id; each of their
+    segments is listed once per witness window. Without witnesses the record's
+    own path and window stand in.
+    """
+    witnesses = [s for s in filtered if contains(r_outer, s)
+                 and not any(contains(s, t) for t in filtered)]
+    if not witnesses:
+        w0, w1 = r_outer.record.t_start, r_outer.record.t_end
+        return [(seg, w0, w1) for seg in r_outer.path.segments], PROVENANCE_SELF
+    entries, seen = [], set()
+    for w in sorted(witnesses, key=lambda s: (s.record.t_start, s.record.record_id)):
+        for seg in w.path.segments:
+            if (seg.key, w.record.t_start, w.record.t_end) not in seen:
+                seen.add((seg.key, w.record.t_start, w.record.t_end))
+                entries.append((seg, w.record.t_start, w.record.t_end))
+    return entries, PROVENANCE_WITNESS
+
+
+def report_for(r_outer, filtered):
+    """The rank_anomalies report of one record of the significant set."""
+    reports = rank_anomalies(filtered, containment_counts(filtered))
+    return next(rep for rep in reports if rep.scored is r_outer)
+
+
+def entry_keys(rep):
+    return [(seg.key, w0, w1) for seg, w0, w1 in rep.congested_segments]
 
 
 class TestContainmentCounts:
@@ -229,7 +264,7 @@ class TestRankAnomalies:
         reports = rank_anomalies(filtered, counts)
         by_id = {rep.scored.record.record_id: rep for rep in reports}
         for s in filtered:
-            entries, provenance = localize(s, filtered)
+            entries, provenance = oracle_localize(s, filtered)
             rep = by_id[s.record.record_id]
             assert rep.provenance == provenance
             assert list(rep.congested_segments) == entries
@@ -240,17 +275,15 @@ class TestLocalize:
         outer = scored("outer", "A", "F", 0.0, 1000.0)
         middle = scored("middle", "B", "E", 100.0, 900.0)
         inner = scored("inner", "C", "D", 200.0, 800.0)
-        entries, provenance = localize(outer, [outer, middle, inner])
-        assert provenance == PROVENANCE_WITNESS
-        assert [(seg.key, w0, w1) for seg, w0, w1 in entries] == [
-            (("C", "D"), 200.0, 800.0)
-        ]
+        rep = report_for(outer, [outer, middle, inner])
+        assert rep.provenance == PROVENANCE_WITNESS
+        assert entry_keys(rep) == [(("C", "D"), 200.0, 800.0)]
 
     def test_no_nested_falls_back_to_own_path(self):
         only = scored("only", "A", "C", 0.0, 1000.0)
-        entries, provenance = localize(only, [only])
-        assert provenance == PROVENANCE_SELF
-        assert [(seg.key, w0, w1) for seg, w0, w1 in entries] == [
+        rep = report_for(only, [only])
+        assert rep.provenance == PROVENANCE_SELF
+        assert entry_keys(rep) == [
             (("A", "B"), 0.0, 1000.0),
             (("B", "C"), 0.0, 1000.0),
         ]
@@ -259,12 +292,125 @@ class TestLocalize:
         outer = scored("outer", "A", "H", 0.0, 10000.0)
         w1 = scored("w1", "B", "C", 100.0, 900.0)
         w2 = scored("w2", "E", "F", 2000.0, 2900.0)
-        entries, provenance = localize(outer, [outer, w1, w2])
-        assert provenance == PROVENANCE_WITNESS
-        assert [(seg.key, w0, w1_) for seg, w0, w1_ in entries] == [
+        rep = report_for(outer, [outer, w1, w2])
+        assert rep.provenance == PROVENANCE_WITNESS
+        assert entry_keys(rep) == [
             (("B", "C"), 100.0, 900.0),
             (("E", "F"), 2000.0, 2900.0),
         ]
+
+
+def corridor_nodes(k):
+    """Stops of service k: two own stops, the corridor x0..x3 all services share,
+    then two more own stops, so different services yield equal node sequences.
+    """
+    return (f"p{k}a", f"p{k}b", "x0", "x1", "x2", "x3", f"q{k}a", f"q{k}b")
+
+
+class CorridorTrips:
+    """Scored trips on four services sharing a corridor; one Path per stretch."""
+
+    def __init__(self):
+        self.paths = {}
+
+    def trip(self, rid, k, i, j, t0, t1, alpha=1.0):
+        nodes = corridor_nodes(k)[i : j + 1]
+        path = self.paths.get(nodes)
+        if path is None:
+            path = self.paths[nodes] = chain_path(nodes, [100.0] * (len(nodes) - 1))
+        r = make_record(record_id=rid, service_id=f"svc{k}", origin=nodes[0],
+                        destination=nodes[-1], t_start=t0, t_end=t1,
+                        distance_m=path.distance_m)
+        return ScoredRecord(record=r, path=path, alpha=alpha, expected_s=r.observed_s)
+
+    def random_set(self, rng, n):
+        """n trips on a 10 s time grid (ties are common), with duplicated ids,
+        identical copies, and inner trips starting or ending exactly at an
+        outer's bounds.
+        """
+        out = []
+        for m in range(n):
+            i, j = sorted(rng.choice(8, size=2, replace=False).tolist())
+            t0 = 10.0 * int(rng.integers(0, 60))
+            t1 = t0 + 10.0 * int(rng.integers(1, 40))
+            rid = f"r{m // 2}" if m % 7 == 0 else f"r{m}"
+            out.append(self.trip(rid, int(rng.integers(0, 4)), i, j, t0, t1,
+                                 alpha=float(rng.normal())))
+        for m, outer in enumerate(out[:10]):
+            rec = outer.record
+            k = int(rec.service_id[3:])
+            i = corridor_nodes(k).index(rec.origin)
+            j = corridor_nodes(k).index(rec.destination)
+            t0, t1 = rec.t_start, rec.t_end
+            out.append(self.trip(rec.record_id, k, i, j, t0, t1, alpha=outer.alpha))
+            if j - i >= 2 and t1 - t0 >= 30.0:
+                out.append(self.trip(f"s{m}", k, i, j - 1, t0, t1 - 10.0))
+                out.append(self.trip(f"e{m}", k, i + 1, j, t0 + 10.0, t1))
+                out.append(self.trip(f"n{m}", k, i + 1, j, t0 + 10.0, t1 - 10.0))
+        order = rng.permutation(len(out))
+        return [out[m] for m in order]
+
+
+class TestContainmentIndex:
+    def test_matches_brute_force_on_shared_corridor(self):
+        rng = np.random.default_rng(2024)
+        trips = CorridorTrips()
+        for _ in range(4):
+            filtered = trips.random_set(rng, 120)
+            counts = containment_counts(filtered)
+            assert counts == oracle_counts(filtered)
+            reports = rank_anomalies(filtered, counts)
+            assert sorted(map(id, (rep.scored for rep in reports))) == sorted(
+                map(id, filtered))
+            for rep in reports:
+                entries, provenance = oracle_localize(rep.scored, filtered)
+                assert rep.provenance == provenance
+                assert list(rep.congested_segments) == entries
+
+    def test_strict_nesting_at_window_bounds(self):
+        trips = CorridorTrips()
+        outer = trips.trip("outer", 0, 1, 6, 100.0, 200.0)
+        same_start = trips.trip("a", 1, 2, 4, 100.0, 150.0)
+        same_end = trips.trip("b", 2, 3, 5, 150.0, 200.0)
+        inside = trips.trip("c", 3, 2, 5, 100.5, 199.5)
+        twin = trips.trip("outer", 0, 1, 6, 100.0, 200.0)
+        filtered = [outer, same_start, same_end, inside, twin]
+        assert containment_counts(filtered) == {"outer": 0, "a": 0, "b": 0, "c": 2}
+        rep = report_for(outer, filtered)
+        assert rep.provenance == PROVENANCE_WITNESS
+        assert entry_keys(rep) == [
+            (("x0", "x1"), 100.5, 199.5),
+            (("x1", "x2"), 100.5, 199.5),
+            (("x2", "x3"), 100.5, 199.5),
+        ]
+
+    def test_tied_witnesses_keep_input_order(self):
+        # equal start time and record id: only the order in the set separates them
+        trips = CorridorTrips()
+        outer = trips.trip("outer", 0, 1, 6, 100.0, 200.0)
+        a = trips.trip("w", 1, 2, 3, 120.0, 130.0)
+        b = trips.trip("w", 2, 4, 5, 120.0, 140.0)
+        for filtered in ([outer, a, b], [outer, b, a]):
+            rep = report_for(outer, filtered)
+            assert list(rep.congested_segments) == oracle_localize(outer, filtered)[0]
+
+    def test_twenty_thousand_short_trips_stay_fast(self):
+        rng = np.random.default_rng(9)
+        trips = CorridorTrips()
+        filtered = []
+        for m in range(20000):
+            i = int(rng.integers(0, 6))
+            j = i + int(rng.integers(1, 3))
+            t0 = float(rng.uniform(0.0, 86400.0))
+            filtered.append(trips.trip(f"r{m}", int(rng.integers(0, 4)), i, j, t0,
+                                       t0 + float(rng.uniform(60.0, 600.0))))
+        started = time.perf_counter()
+        counts = containment_counts(filtered)
+        reports = rank_anomalies(filtered, counts)
+        elapsed = time.perf_counter() - started
+        assert len(reports) == 20000
+        assert sum(counts.values()) > 0
+        assert elapsed < 10.0, f"containment and ranking of 20k trips took {elapsed:.1f}s"
 
 
 class TestRelationProperties:

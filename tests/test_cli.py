@@ -1,3 +1,6 @@
+import pytest
+
+from flowanomaly import models
 from flowanomaly.cli import run_command
 from flowanomaly.models import expected_time, load_model
 from flowanomaly.core import build_network, resolve_path
@@ -125,13 +128,17 @@ class TestValidation:
         assert f"reject line={line_no} reason=distance 'inf' is not finite" in captured.err
         assert rejects.read_text().splitlines() == ["service_id,reason"]
 
-    def test_overflow_is_one_error_line(self, tmp_path, capsys):
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         rec_path, _ = simulate_small(tmp_path)
         routes = tmp_path / "routes.csv"
         assert run("infer-routes", "--records", str(rec_path),
                    "--out-routes", str(routes),
                    "--out-rejects", str(tmp_path / "rej.csv")) == 0
-        append_bad_row(rec_path, 4, "-1e300")
+
+        def overflow(records):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(models, "fit_baseline1", overflow)
         capsys.readouterr()
         code = run("train", "--records", str(rec_path), "--routes", str(routes),
                    "--kind", "baseline1", "--out-model", str(tmp_path / "m.txt"))
@@ -139,6 +146,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["baseline1", "baseline2", "edge"])
+    def test_absurd_time_row_is_a_reject_line(self, tmp_path, capsys, kind):
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        line_no = append_bad_row(rec_path, 4, "-1e300")
+        capsys.readouterr()
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", kind, "--epochs", "2",
+                   "--out-model", str(tmp_path / "m.txt")) == 0
+        err = capsys.readouterr().err
+        assert (f"reject line={line_no} reason=time '-1e300' is outside years 1-9999 UTC"
+                in err)
+        assert "parse_rejected=1" in err
 
 
 class TestPipeline:

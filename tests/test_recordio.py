@@ -39,6 +39,20 @@ class TestParseTimestamp:
             parse_timestamp("yesterday")
 
 
+    @pytest.mark.parametrize("text", [
+        "-1e300", "1e12", "-62135596801", "253402300800",
+        "0001-01-01T00:00:00+05:00", "9999-12-31T23:59:59-01:00",
+    ])
+    def test_outside_utc_datetime_range_rejected(self, text):
+        with pytest.raises(ValueError, match="outside years 1-9999 UTC"):
+            parse_timestamp(text)
+
+    def test_utc_datetime_range_bounds_accepted(self):
+        assert parse_timestamp("0001-01-01T00:00:00Z") == -62135596800.0
+        assert parse_timestamp("-62135596800") == -62135596800.0
+        assert parse_timestamp("9999-12-31T23:59:59Z") == 253402300799.0
+
+
 class TestParseRecords:
     def test_well_formed(self):
         text = HEADER + "\n" + "\n".join([
@@ -90,6 +104,37 @@ class TestParseRecords:
         assert [r.record_id for r in records] == ["r2"]
         assert rejects[0].line_no == 2
         assert "not finite" in rejects[0].reason
+
+    def test_out_of_range_time_rejected_with_reason(self):
+        text = HEADER + "\nr1,s1,a,b,-1e300,60,400\nr2,s1,a,b,0,1e12,400\nr3,s1,a,b,0,60,400\n"
+        records, rejects = parse_text(text)
+        assert [r.record_id for r in records] == ["r3"]
+        assert [(rej.line_no, rej.reason) for rej in rejects] == [
+            (2, "time '-1e300' is outside years 1-9999 UTC"),
+            (3, "time '1e12' is outside years 1-9999 UTC"),
+        ]
+
+    def test_benchmark_malformed_row_reasons(self):
+        # the five kinds of malformed row that perfbench/gen.py injects
+        rows = [
+            "b0,s1,a,b,0,60",
+            "b1,s1,a,b,not-a-time,2020-01-01T00:01:00+02:00,400",
+            "b2,s1,a,b,2020-01-01T00:00:00,2020-01-01T00:01:00+02:00,400",
+            "b3,s1,a,b,0,60,-400",
+            "b4,s1,a,b,0,60,0",
+            "b5,s1,a,b,60,0,400",
+            "ok,s1,a,b,0,60,400",
+        ]
+        records, rejects = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        assert [r.record_id for r in records] == ["ok"]
+        assert [rej.reason for rej in rejects] == [
+            "expected 7 fields, got 6",
+            "unparseable time 'not-a-time'",
+            "time '2020-01-01T00:00:00' has no UTC offset",
+            "record 'b3': distance must be positive",
+            "record 'b4': distance must be positive",
+            "record 'b5': t_end must exceed t_start",
+        ]
 
     def test_all_rows_rejected(self):
         text = HEADER + "\nr1,s1,a,b,60,0,400\n"
