@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .core import FlowRecord, NetworkGraph, Path, Segment, resolve_paths
 from .errors import EmptyInput, ZeroVariance
-from .models import Model, expected_time
+from .models import Model, _Columns
 
 PROVENANCE_WITNESS = "innermost-witness"
 PROVENANCE_SELF = "self-path"
@@ -64,8 +64,7 @@ def score(
     sigma = math.sqrt(model.sigma2)
     paths = resolve_paths(network, records)
     out = []
-    for r, p in zip(records, paths):
-        expect = expected_time(model, p, r.distance_m)
+    for r, p, expect in zip(records, paths, _Columns(records, paths).expected_times(model)):
         alpha = (r.observed_s - expect) / (sigma * math.sqrt(r.distance_m))
         out.append(ScoredRecord(record=r, path=p, alpha=alpha, expected_s=expect))
     return out

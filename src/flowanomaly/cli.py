@@ -552,7 +552,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config(args)
         return _COMMANDS[args.command](args)
-    except (FlowError, ValueError, OSError, OverflowError) as exc:
+    except (FlowError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

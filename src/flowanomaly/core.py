@@ -7,6 +7,8 @@ ingestion boundary, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,6 +24,11 @@ NodeId = str
 # Distances that disagree by no more than this are treated as the same
 # measurement (real feeds round distances).
 DEFAULT_DISTANCE_TOLERANCE_M = 1.0
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum from 0.0, left to right: sum() compensates from Python 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class Path:
                 )
         nodes = (self.segments[0].from_node,) + tuple(s.to_node for s in self.segments)
         object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_distance", sum(s.distance_m for s in self.segments))
+        object.__setattr__(self, "_distance", left_sum(s.distance_m for s in self.segments))
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NetworkGraph, FlowRecord, Path, resolve_paths
+from .core import NetworkGraph, FlowRecord, Path, left_sum, resolve_paths
 from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
@@ -51,7 +51,7 @@ class CrossValResult:
         values = [row.test_rmse for row in self.rows if row.kind == kind]
         if not values:
             raise ValueError(f"no rows for kind {kind!r}")
-        return sum(values) / len(values)
+        return left_sum(values) / len(values)
 
 
 def rmse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:

@@ -147,6 +147,40 @@ class TestValidation:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_tiny_c_min_is_one_error_line(self, tmp_path, capsys):
+        # c_min * c_min underflows to 0, which used to divide by zero in training
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        capsys.readouterr()
+        code = run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "edge", "--c-min", "1e-170", "--eta", "1e5",
+                   "--out-model", str(tmp_path / "m.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: c_min")
+        assert "Traceback" not in err
+
+    def test_zero_division_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+
+        def divide(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(models, "train_edge_model", divide)
+        capsys.readouterr()
+        code = run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "edge", "--out-model", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: float division by zero\n"
+
     @pytest.mark.parametrize("kind", ["baseline1", "baseline2", "edge"])
     def test_absurd_time_row_is_a_reject_line(self, tmp_path, capsys, kind):
         rec_path, _ = simulate_small(tmp_path)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flowanomaly.anomaly import score
 from flowanomaly.core import build_network
 from flowanomaly.errors import (
     EmptyInput,
@@ -11,7 +12,9 @@ from flowanomaly.errors import (
     NonPositiveVariance,
     SegmentNotOnPath,
 )
+from flowanomaly.evaluation import CrossValResult, TrialRow
 from flowanomaly.models import (
+    SIGMA2_FLOOR,
     Baseline1Model,
     Baseline2Model,
     EdgeModel,
@@ -30,7 +33,7 @@ from flowanomaly.models import (
     sse,
     train_edge_model,
 )
-from flowanomaly.synth import SynthConfig, SynthTruth, generate_records
+from flowanomaly.synth import SynthConfig, SynthTruth, generate_network, generate_records
 from flowanomaly.core import resolve_paths
 
 from conftest import chain_path, make_record, make_route
@@ -357,6 +360,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("c_min", [1e-170, 0.0, -1.0])
+    def test_c_min_whose_square_underflows_rejected(self, c_min):
+        with pytest.raises(ValueError, match="c_min"):
+            TrainConfig(c_min=c_min)
+
 
 class TestSgdSharesKernels:
     """sgd_epoch applies gradient()'s partials and reports sse()/estimate_variance()."""
@@ -394,6 +402,199 @@ class TestSgdSharesKernels:
             assert model.sigma2 == estimate_variance(model, records, paths)
         else:
             assert model.sigma2 == sigma2_before
+
+
+def oracle_sgd_epoch(model, records, paths, cfg, epoch=0):
+    """The dict-keyed per-record epoch the columnar trainer replaced, as its reference.
+
+    Returns the model, the post-epoch SSE and the number of c_min clamps.
+    """
+    rng = np.random.default_rng((cfg.shuffle_seed, epoch))
+    order = rng.permutation(len(records)) if model.sigma2 >= SIGMA2_FLOOR else ()
+    speeds = model.c_by_segment
+    psi = cfg.psi if model.smoothed else 0.0
+    clamps = 0
+    for idx in order:
+        r = records[idx]
+        segs = paths[idx].segments
+        segment_speeds = []
+        expect = 0.0
+        for seg in segs:
+            c = speeds.get(seg.key)
+            if c is None:
+                raise MissingSegmentSpeed(seg.from_node, seg.to_node)
+            segment_speeds.append(c)
+            expect += seg.distance_m / c
+        base = (r.observed_s - expect) / (r.distance_m * model.sigma2)
+        grads = []
+        for i, seg in enumerate(segs):
+            c = segment_speeds[i]
+            grad = -base * seg.distance_m / (c * c) + cfg.tau / c
+            if psi:
+                if i + 1 < len(segs):
+                    grad -= psi * (c - segment_speeds[i + 1])
+                if i > 0:
+                    grad += psi * (segment_speeds[i - 1] - c)
+            grads.append(grad)
+        for seg, c, grad in zip(segs, segment_speeds, grads):
+            updated = c + cfg.eta * grad
+            clamps += not updated > cfg.c_min
+            speeds[seg.key] = updated if updated > cfg.c_min else cfg.c_min
+    resid_sq = 0.0
+    total_d = 0.0
+    for r, p in zip(records, paths):
+        resid_sq += (r.observed_s - expected_time(model, p, r.distance_m)) ** 2
+        total_d += r.distance_m
+    if cfg.variance_refresh:
+        model.sigma2 = resid_sq / total_d
+    return model, resid_sq, clamps
+
+
+def oracle_train(net, records, cfg, smoothed):
+    paths = resolve_paths(net, records)
+    model = init_edge_model(net, records, cfg, smoothed=smoothed)
+    trail, clamps = [], 0
+    for epoch in range(cfg.epochs):
+        model, sse_value, n = oracle_sgd_epoch(model, records, paths, cfg, epoch)
+        trail.append(sse_value)
+        clamps += n
+    covered = {seg.key for p in paths for seg in p.segments}
+    return model, trail, tuple(sorted(set(net.segments) - covered)), clamps
+
+
+def corridor_set(n_records=600, seed=3, spare_route=False):
+    """Three services sharing a 4-stop corridor, so equal stretches are distinct Paths."""
+    cfg = SynthConfig(n_services=3, stops_per_service=7, shared_corridor_stops=4,
+                      n_records=n_records, noise_sigma2=0.05, seed=seed)
+    truth = generate_network(cfg)
+    records, _ = generate_records(truth, cfg)
+    net = truth.network
+    if spare_route:
+        net = build_network(list(net.routes.values()) + [make_route("zz", "pq", (0.0, 500.0))])
+    return net, records
+
+
+class TestColumnarTrainerMatchesOracle:
+    """train_edge_model and sgd_epoch are bit-equal to the dict-keyed per-record loop."""
+
+    @pytest.mark.parametrize("case", ["edge", "smoothed", "clamp", "untraversed",
+                                      "no-refresh"])
+    def test_train_edge_model(self, case):
+        net, records = corridor_set(spare_route=(case == "untraversed"))
+        smoothed = case == "smoothed"
+        cfg = TrainConfig(eta=0.5 if case == "clamp" else 0.01, tau=1e-3, psi=0.05,
+                          epochs=4, shuffle_seed=2, variance_refresh=(case != "no-refresh"))
+        want, want_trail, want_untraversed, clamps = oracle_train(net, records, cfg, smoothed)
+        got, result = train_edge_model(net, records, cfg, smoothed=smoothed)
+        assert got.c_by_segment == want.c_by_segment
+        assert list(got.c_by_segment) == list(want.c_by_segment)
+        assert got.sigma2 == want.sigma2
+        assert result.sse_by_epoch == want_trail
+        assert result.untraversed == want_untraversed
+        assert bool(want_untraversed) == (case == "untraversed")
+        assert (clamps > 0) == (case == "clamp")
+
+    def test_equal_stretches_on_distinct_paths(self):
+        net, records = corridor_set()
+        paths = resolve_paths(net, records)
+        by_nodes = {}
+        for p in paths:
+            by_nodes.setdefault(p.nodes, set()).add(id(p))
+        assert any(len(ids) > 1 for ids in by_nodes.values())
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_epochs_from_below_the_variance_floor(self, smoothed):
+        net, records = corridor_set(n_records=300, seed=4)
+        paths = resolve_paths(net, records)
+        cfg = TrainConfig(eta=0.01, psi=0.05, shuffle_seed=1)
+        want = init_edge_model(net, records, cfg, smoothed=smoothed)
+        want.sigma2 = SIGMA2_FLOOR / 2
+        got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
+        frozen = dict(want.c_by_segment)
+        for epoch in range(3):
+            want, want_sse, _ = oracle_sgd_epoch(want, records, paths, cfg, epoch)
+            got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+            assert got_sse == want_sse
+            assert got.c_by_segment == want.c_by_segment
+            assert got.sigma2 == want.sigma2
+            if epoch == 0:
+                assert got.c_by_segment == frozen
+        assert got.c_by_segment != frozen
+
+    def test_missing_speed_names_the_first_gap_in_record_order(self):
+        net, records = corridor_set(n_records=200)
+        paths = resolve_paths(net, records)
+        cfg = TrainConfig()
+        model = init_edge_model(net, records, cfg)
+        for key in (paths[9].segments[0].key, paths[5].segments[-1].key):
+            model.c_by_segment.pop(key, None)
+        with pytest.raises(MissingSegmentSpeed) as want:
+            for r, p in zip(records, paths):
+                expected_time(model, p, r.distance_m)
+        for call in (lambda: sgd_epoch(model, records, paths, cfg),
+                     lambda: sse(model, records, paths),
+                     lambda: score(model, records, net)):
+            with pytest.raises(MissingSegmentSpeed) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+
+class TestExpectedTimesMatchPerRecordLoop:
+    """score() and sse() read per-path expected times equal to expected_time per record."""
+
+    def models(self, net, records, paths):
+        edge, _ = train_edge_model(net, records, TrainConfig(eta=0.01, epochs=2), paths=paths)
+        return [edge, fit_baseline1(records), fit_baseline2(records, paths)]
+
+    def test_score_and_sse(self):
+        net, records = corridor_set()
+        paths = resolve_paths(net, records)
+        for model in self.models(net, records, paths):
+            want = [expected_time(model, p, r.distance_m) for r, p in zip(records, paths)]
+            assert [s.expected_s for s in score(model, records, net)] == want
+            want_sse = 0.0
+            for r, t in zip(records, want):
+                want_sse += (r.observed_s - t) ** 2
+            assert sse(model, records, paths) == want_sse
+
+    def test_squares_are_pow_not_product(self):
+        # x ** 2 and x * x round apart for about 1 in 1000 residuals
+        ts = (100.0 + np.random.default_rng(0).random(10_000)).tolist()
+        t_end = next(t for t in ts if (t - 100.0) ** 2 != (t - 100.0) * (t - 100.0))
+        got = sse(Baseline1Model(1.0, 0.0), [rec(100.0, t_end)], [chain_path("ab", [100.0])])
+        assert got == (t_end - 100.0) ** 2
+
+
+class TestLeftToRightSums:
+    """Sums add left to right from 0.0; Python 3.12's compensated sum() gives 1e16 + 2."""
+
+    DISTANCES = [1e16, 1.0, 1.0]
+
+    @staticmethod
+    def left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def test_path_distance(self):
+        assert chain_path("abcd", self.DISTANCES).distance_m == 1e16
+
+    def test_baselines(self):
+        records = [rec(d, 10.0, f"r{i}") for i, d in enumerate(self.DISTANCES)]
+        total_d = self.left_to_right(r.distance_m for r in records)
+        assert total_d == 1e16
+        c = total_d / 30.0
+        want_sigma2 = self.left_to_right((10.0 - r.distance_m / c) ** 2 for r in records) / total_d
+        b1 = fit_baseline1(records)
+        assert (b1.c, b1.sigma2) == (c, want_sigma2)
+        b2 = fit_baseline2(records, [chain_path("ab", [1.0])] * 3)
+        assert (b2.fallback_c, b2.sigma2) == (c, want_sigma2)
+
+    def test_mean_test_rmse(self):
+        rows = [TrialRow(fold=i, kind="edge", train_rmse=0.0, test_rmse=v, excluded=0)
+                for i, v in enumerate(self.DISTANCES)]
+        assert CrossValResult(rows).mean_test_rmse("edge") == 1e16 / 3
 
 
 class TestPathKey:
