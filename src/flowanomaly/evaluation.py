@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .core import NetworkGraph, FlowRecord, Path, left_sum, resolve_paths
 from .errors import EmptyInput, TooFewRecords
 from .models import (
@@ -66,6 +64,7 @@ def make_folds(records: Sequence[FlowRecord], k: int, seed: int) -> FoldSplit:
         raise ValueError("k must be >= 2")
     if len(records) < k:
         raise TooFewRecords(len(records), k)
+    import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
     assignments = {

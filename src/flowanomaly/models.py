@@ -21,8 +21,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Union
 
-import numpy as np
-
 from .core import NetworkGraph, FlowRecord, NodeId, Path, Segment, left_sum, resolve_paths
 from .errors import (
     EmptyInput,
@@ -335,6 +333,7 @@ def sgd_epoch(
     if not records:
         raise EmptyInput("sgd_epoch needs records")
     cols = cols or _Columns(records, paths)
+    import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
     # a memoryview yields Python ints one at a time, without a list of them all
     order = memoryview(rng.permutation(len(records))) if model.sigma2 >= SIGMA2_FLOOR else ()

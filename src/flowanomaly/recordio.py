@@ -2,9 +2,9 @@
 
 Rows are `record_id,service_id,board_stop,alight_stop,board_time,alight_time,
 distance_m` with a mandatory header. Times are epoch seconds or ISO-8601 with
-a UTC offset, within years 1-9999 UTC; distances are meters. Malformed rows,
-including non-finite times or distances, are skipped and reported with their
-line numbers, never silently dropped.
+a UTC offset, within years 1-9999 UTC; distances are meters, no longer than
+the Earth's equator. Malformed rows, including non-finite times or distances,
+are skipped and reported with their line numbers, never silently dropped.
 """
 
 from __future__ import annotations
@@ -39,13 +39,20 @@ class RejectedRow:
 _EPOCH_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
 _EPOCH_MAX = datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp() + 86400.0
 
+# No record between two points on Earth is longer than its equator; a longer
+# finite distance (such as 1e308) is a typo that would contradict every other
+# record of its stop pair and so reject the whole service in route inference.
+EARTH_EQUATOR_M = 40_075_017.0
+
 
 def parse_timestamp(text: str) -> float:
     """Epoch seconds from a float literal or an offset-carrying ISO-8601 string."""
     token = text.strip()
-    try:
-        value = float(token)
+    try:  # float() never accepts a colon, so ISO times skip its raised ValueError
+        value = float(token) if ":" not in token else None
     except ValueError:
+        value = None
+    if value is None:
         if token.endswith(("Z", "z")):
             token = token[:-1] + "+00:00"
         try:
@@ -63,34 +70,36 @@ def parse_timestamp(text: str) -> float:
 
 
 def _check_token(name: str, value: str) -> str:
-    token = value.strip()
-    if not token:
+    words = value.split()  # splits at exactly the characters strip() and isspace() see
+    if len(words) == 1 and "," not in value:
+        return words[0]
+    if not words:
         raise ValueError(f"{name} is empty")
-    if any(ch.isspace() for ch in token) or "," in token:
-        raise ValueError(f"{name} {value!r} contains whitespace or a comma")
-    return token
+    raise ValueError(f"{name} {value!r} contains whitespace or a comma")
+
+
+def _parse_distance(text: str) -> float:
+    distance = float(text)
+    if not math.isfinite(distance):
+        raise ValueError(f"distance {text!r} is not finite")
+    if distance > EARTH_EQUATOR_M:
+        raise ValueError(f"distance {text!r} is longer than the Earth's equator")
+    return distance
 
 
 def _parse_row(row: Sequence[str]) -> FlowRecord:
     if len(row) != len(RECORD_HEADER):
         raise ValueError(f"expected {len(RECORD_HEADER)} fields, got {len(row)}")
-    record_id = _check_token("record_id", row[0])
-    service_id = _check_token("service_id", row[1])
-    board = _check_token("board_stop", row[2])
-    alight = _check_token("alight_stop", row[3])
-    t_start = parse_timestamp(row[4])
-    t_end = parse_timestamp(row[5])
-    distance = float(row[6])
-    if not math.isfinite(distance):
-        raise ValueError(f"distance {row[6]!r} is not finite")
+    record_id, service_id, board, alight, t_start, t_end, distance = row
+    # arguments evaluate left to right, so a row's first fault is the one reported
     return FlowRecord(
-        record_id=record_id,
-        service_id=service_id,
-        origin=board,
-        destination=alight,
-        t_start=t_start,
-        t_end=t_end,
-        distance_m=distance,
+        _check_token("record_id", record_id),
+        _check_token("service_id", service_id),
+        _check_token("board_stop", board),
+        _check_token("alight_stop", alight),
+        parse_timestamp(t_start),
+        parse_timestamp(t_end),
+        _parse_distance(distance),
     )
 
 

@@ -45,34 +45,25 @@ def collect_evidence(
     because two records disagree (beyond eps_d) on the same stop pair.
     Conflicts are recorded, never raised.
     """
-    by_triple: dict[tuple[str, NodeId, NodeId], DistanceEvidence] = {}
+    first: dict[tuple[str, NodeId, NodeId], float] = {}  # each pair's first distance
+    support: dict[tuple[str, NodeId, NodeId], int] = {}
     flagged: dict[str, str] = {}
     for r in records:
         key = (r.service_id, r.origin, r.destination)
-        known = by_triple.get(key)
+        known = first.get(key)
         if known is None:
-            by_triple[key] = DistanceEvidence(
-                r.service_id, r.origin, r.destination, r.distance_m, 1
-            )
-        else:
-            if (
-                abs(known.distance_m - r.distance_m) > eps_d
-                and r.service_id not in flagged
-            ):
-                flagged[r.service_id] = (
-                    f"records disagree on {r.origin}->{r.destination}: "
-                    f"{known.distance_m:g} m vs {r.distance_m:g} m"
-                )
-            by_triple[key] = DistanceEvidence(
-                known.service_id,
-                known.from_node,
-                known.to_node,
-                known.distance_m,
-                known.support + 1,
+            first[key] = r.distance_m
+            support[key] = 1
+            continue
+        support[key] += 1
+        if abs(known - r.distance_m) > eps_d and r.service_id not in flagged:
+            flagged[r.service_id] = (
+                f"records disagree on {r.origin}->{r.destination}: "
+                f"{known:g} m vs {r.distance_m:g} m"
             )
     evidence: dict[str, list[DistanceEvidence]] = {}
-    for ev in by_triple.values():
-        evidence.setdefault(ev.service_id, []).append(ev)
+    for key, distance in first.items():
+        evidence.setdefault(key[0], []).append(DistanceEvidence(*key, distance, support[key]))
     return evidence, flagged
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-import numpy as np
-
 from .core import NetworkGraph, FlowRecord, NodeId, ServiceRoute, build_network
 from .recordio import format_float, write_lines
 
@@ -84,6 +82,7 @@ class SynthTruth:
 
 def generate_network(cfg: SynthConfig) -> SynthTruth:
     """Build linear routes (optionally sharing a middle corridor) with drawn speeds."""
+    import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.seed, 0))
     len_lo, len_hi = cfg.segment_length_range_m
     spd_lo, spd_hi = cfg.speed_range_mps
@@ -160,6 +159,7 @@ def generate_records(
     The planted segment runs at true speed over the slowdown factor while the
     clock is inside the congestion window.
     """
+    import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.seed, 1))
     services = sorted(truth.network.routes)
     cong = truth.congestion

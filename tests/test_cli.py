@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import flowanomaly
 from flowanomaly import models
 from flowanomaly.cli import run_command
 from flowanomaly.models import expected_time, load_model
@@ -116,8 +122,19 @@ class TestValidation:
         assert len(sse_path.read_text().splitlines()) == 3
 
     def test_one_inf_distance_row_keeps_its_service(self, tmp_path, capsys):
+        self.check_bad_distance_row_is_a_reject(
+            tmp_path, capsys, "inf", "distance 'inf' is not finite")
+
+    def test_one_longer_than_equator_distance_row_keeps_its_service(self, tmp_path, capsys):
+        # finite, so it used to reach route inference and contradict every
+        # other record of its stop pair, rejecting the whole service
+        self.check_bad_distance_row_is_a_reject(
+            tmp_path, capsys, "1e308", "distance '1e308' is longer than the Earth's equator")
+
+    @staticmethod
+    def check_bad_distance_row_is_a_reject(tmp_path, capsys, distance, reason):
         rec_path, _ = simulate_small(tmp_path)
-        line_no = append_bad_row(rec_path, 6, "inf")
+        line_no = append_bad_row(rec_path, 6, distance)
         routes = tmp_path / "routes.csv"
         rejects = tmp_path / "rej.csv"
         capsys.readouterr()
@@ -125,7 +142,7 @@ class TestValidation:
                    "--out-routes", str(routes), "--out-rejects", str(rejects)) == 0
         captured = capsys.readouterr()
         assert "accepted=2 rejected=0 parse_rejected=1" in captured.out
-        assert f"reject line={line_no} reason=distance 'inf' is not finite" in captured.err
+        assert f"reject line={line_no} reason={reason}" in captured.err
         assert rejects.read_text().splitlines() == ["service_id,reason"]
 
     def test_overflow_is_one_error_line(self, tmp_path, capsys, monkeypatch):
@@ -329,3 +346,38 @@ class TestPipeline:
                    "--out-model", str(tmp_path / "m.txt"),
                    "--out-sse", str(sse_path)) == 0
         assert len(sse_path.read_text().splitlines()) == 3
+
+
+class TestStartup:
+    def test_commands_without_seeded_draws_never_import_numpy(self, tmp_path):
+        # importing numpy costs a large share of a short command's run time
+        rec_path, _ = simulate_small(tmp_path)
+        routes, model = tmp_path / "routes.csv", tmp_path / "m.txt"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--epochs", "2", "--out-model", str(model)) == 0
+        scored = tmp_path / "scored.csv"
+        argv_sets = [
+            ["infer-routes", "--records", str(rec_path),
+             "--out-routes", str(tmp_path / "routes2.csv"),
+             "--out-rejects", str(tmp_path / "rej2.csv")],
+            ["detect", "--records", str(rec_path), "--routes", str(routes),
+             "--model", str(model), "--out", str(scored)],
+            ["localize", "--scored", str(scored), "--routes", str(routes),
+             "--out-report", str(tmp_path / "report.csv"),
+             "--out-daily", str(tmp_path / "daily.csv")],
+        ]
+        script = (
+            "import sys\n"
+            "from flowanomaly.cli import run_command\n"
+            f"codes = [run_command(argv) for argv in {argv_sets!r}]\n"
+            "print('exit codes', codes, 'numpy loaded', 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(flowanomaly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0] numpy loaded False"

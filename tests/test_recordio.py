@@ -105,6 +105,15 @@ class TestParseRecords:
         assert rejects[0].line_no == 2
         assert "not finite" in rejects[0].reason
 
+    def test_distance_longer_than_equator_rejected_with_reason(self):
+        text = HEADER + "\nr1,s1,a,b,0,60,1e308\nr2,s1,a,b,0,60,40075017.000001\nr3,s1,a,b,0,60,40075017\n"
+        records, rejects = parse_text(text)
+        assert [r.record_id for r in records] == ["r3"]
+        assert [(rej.line_no, rej.reason) for rej in rejects] == [
+            (2, "distance '1e308' is longer than the Earth's equator"),
+            (3, "distance '40075017.000001' is longer than the Earth's equator"),
+        ]
+
     def test_out_of_range_time_rejected_with_reason(self):
         text = HEADER + "\nr1,s1,a,b,-1e300,60,400\nr2,s1,a,b,0,1e12,400\nr3,s1,a,b,0,60,400\n"
         records, rejects = parse_text(text)
