@@ -55,19 +55,42 @@ class AnomalyReport:
     provenance: str
 
 
+def _deviations(model: Model, cols: _Columns) -> tuple[list[float], list[float]]:
+    """Per record of the columns, its expected time and its deviation ratio."""
+    if model.sigma2 <= 0:
+        raise ZeroVariance("sigma = 0: ratios are undefined (degenerate training)")
+    sigma = math.sqrt(model.sigma2)
+    expected = cols.expected_times(model)
+    alphas = [
+        (t - expect) / (sigma * math.sqrt(d))
+        for t, expect, d in zip(cols.observed, expected, cols.distance)
+    ]
+    return expected, alphas
+
+
 def score(
     model: Model, records: Sequence[FlowRecord], network: NetworkGraph
 ) -> list[ScoredRecord]:
     """Attach a deviation ratio to every record."""
-    if model.sigma2 <= 0:
-        raise ZeroVariance("sigma = 0: ratios are undefined (degenerate training)")
-    sigma = math.sqrt(model.sigma2)
     paths = resolve_paths(network, records)
-    out = []
-    for r, p, expect in zip(records, paths, _Columns(records, paths).expected_times(model)):
-        alpha = (r.observed_s - expect) / (sigma * math.sqrt(r.distance_m))
-        out.append(ScoredRecord(record=r, path=p, alpha=alpha, expected_s=expect))
-    return out
+    expected, alphas = _deviations(model, _Columns.of(records, paths))
+    return [
+        ScoredRecord(record=r, path=p, alpha=alpha, expected_s=expect)
+        for r, p, alpha, expect in zip(records, paths, alphas, expected)
+    ]
+
+
+def _cutoff(alphas: Sequence[float], cfg: DetectConfig) -> float:
+    """The cutoff delta of filter_significant over these ratios."""
+    if not alphas:
+        raise EmptyInput("filter_significant needs scored records")
+    if cfg.delta_override is not None:
+        return cfg.delta_override
+    ordered = sorted(alphas)
+    n = len(ordered)
+    # tiny slack keeps ceil() from tipping up on exact-integer products
+    rank = min(n, max(1, math.ceil((1.0 - cfg.delta_quantile) * n - 1e-9)))
+    return ordered[rank - 1]
 
 
 def filter_significant(
@@ -79,16 +102,7 @@ def filter_significant(
     ratios, and only records strictly above it pass (so an all-tied set
     filters to nothing).
     """
-    if not scored:
-        raise EmptyInput("filter_significant needs scored records")
-    if cfg.delta_override is not None:
-        delta = cfg.delta_override
-    else:
-        alphas = sorted(s.alpha for s in scored)
-        n = len(alphas)
-        # tiny slack keeps ceil() from tipping up on exact-integer products
-        rank = min(n, max(1, math.ceil((1.0 - cfg.delta_quantile) * n - 1e-9)))
-        delta = alphas[rank - 1]
+    delta = _cutoff([s.alpha for s in scored], cfg)
     return [s for s in scored if s.alpha > delta], delta
 
 
@@ -145,10 +159,17 @@ def _contained(filtered: Sequence[ScoredRecord]) -> list[list[int]]:
     return out
 
 
-def containment_counts(filtered: Sequence[ScoredRecord]) -> dict[str, int]:
-    """For each record, how many other significant records contain it."""
+def containment_counts(
+    filtered: Sequence[ScoredRecord], contained: list[list[int]] | None = None
+) -> dict[str, int]:
+    """For each record, how many other significant records contain it.
+
+    Pass _contained(filtered) as contained to share one index with rank_anomalies.
+    """
     counts = {s.record.record_id: 0 for s in filtered}
-    for nested in _contained(filtered):
+    if contained is None:
+        contained = _contained(filtered)
+    for nested in contained:
         for j in nested:
             counts[filtered[j].record.record_id] += 1
     return counts
@@ -174,7 +195,9 @@ def _congestion_entries(
 
 
 def rank_anomalies(
-    filtered: Sequence[ScoredRecord], counts: dict[str, int]
+    filtered: Sequence[ScoredRecord],
+    counts: dict[str, int],
+    contained: list[list[int]] | None = None,
 ) -> list[AnomalyReport]:
     """Order the significant records and localize each one.
 
@@ -183,10 +206,11 @@ def rank_anomalies(
     further significant record) witness its congestion, and their segments are
     reported, each stamped with its witness's window; a record with none nested
     falls back to its own path and window. Containment comes from the index of
-    containment_counts, so the cost follows the number of nested pairs, not the
-    square of the set size.
+    containment_counts (pass its contained lists to build it once), so the cost
+    follows the number of nested pairs, not the square of the set size.
     """
-    contained = _contained(filtered)
+    if contained is None:
+        contained = _contained(filtered)
     has_inner = [bool(inner) for inner in contained]
 
     order = sorted(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from array import array
 from dataclasses import fields, replace
 from typing import Sequence
 
@@ -18,11 +19,12 @@ from .core import (
     DEFAULT_DISTANCE_TOLERANCE_M,
     NetworkGraph,
     FlowRecord,
+    Path,
     ServiceRoute,
     build_network,
     resolve_path,
-    resolve_paths,
-    validate_record,
+    resolve_paths,  # noqa: F401 - perfbench/tracing.py wraps these two names here
+    validate_record,  # noqa: F401
 )
 from .errors import FlowError
 from .recordio import format_float as _fmt, write_lines
@@ -141,13 +143,11 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
             raise ValueError(f"{flag} is required for {args.command}")
 
 
-def _load_records(path: str) -> tuple[list[FlowRecord], list[recordio.RejectedRow]]:
-    records, rejects = recordio.parse_records(path)
+def _print_rejects(rejects: Sequence[recordio.RejectedRow]) -> None:
     for rej in rejects:
         print(f"reject line={rej.line_no} reason={rej.reason}", file=sys.stderr)
     if rejects:
         print(f"parse_rejected={len(rejects)}", file=sys.stderr)
-    return records, rejects
 
 
 def _write_routes(routes: Sequence[ServiceRoute], path: str) -> None:
@@ -186,22 +186,39 @@ def _network_from(args: argparse.Namespace) -> NetworkGraph:
     return build_network(_load_routes(args.routes), eps_d=args.eps_d)
 
 
-def _validated(
-    network: NetworkGraph, records: Sequence[FlowRecord], eps_d: float
-) -> list[FlowRecord]:
-    """Drop records that do not resolve cleanly on the network, with a count."""
-    kept = []
-    skipped = 0
-    for r in records:
+def _load_table(
+    network: NetworkGraph, path: str, eps_d: float
+) -> tuple[recordio.RecordTable, list[int], models._Columns]:
+    """The parsed table, the rows that resolve cleanly on the network, and their columns.
+
+    Prints the parse rejects and the skipped count. Each distinct (service,
+    origin, destination) is resolved once; only validate_record's distance
+    check runs per row.
+    """
+    table, rejects = recordio.read_table(path)
+    _print_rejects(rejects)
+    by_key: list[Path | None] = []
+    for key in table.keys:
         try:
-            validate_record(network, r, eps_d)
+            by_key.append(resolve_path(network, *key))
         except FlowError:
-            skipped += 1
-            continue
-        kept.append(r)
-    if skipped:
-        print(f"skipped_unresolvable={skipped}", file=sys.stderr)
-    return kept
+            by_key.append(None)
+    rows, paths = [], []
+    for i, (k, d) in enumerate(zip(table.key_of, table.distance)):
+        path = by_key[k]
+        if path is not None and not abs(path.distance_m - d) > eps_d:
+            rows.append(i)
+            paths.append(path)
+    if len(rows) < len(table):
+        print(f"skipped_unresolvable={len(table) - len(rows)}", file=sys.stderr)
+    t_start, t_end = table.t_start, table.t_end
+    cols = models._Columns(
+        list(map(table.record_ids.__getitem__, rows)),
+        array("d", [t_end[i] - t_start[i] for i in rows]),
+        list(map(table.distance.__getitem__, rows)),
+        paths,
+    )
+    return table, rows, cols
 
 
 def _train_config(args: argparse.Namespace) -> models.TrainConfig:
@@ -268,8 +285,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_infer_routes(args: argparse.Namespace) -> int:
     _require(args, "records", "out_routes", "out_rejects")
-    records, parse_rejects = _load_records(args.records)
-    outcome = routeinfer.infer_all_routes(records, eps_d=args.eps_d)
+    table, parse_rejects = recordio.read_table(args.records)
+    _print_rejects(parse_rejects)
+    outcome = routeinfer.infer_all_routes(table, eps_d=args.eps_d)
     _write_routes(list(outcome.accepted.values()), args.out_routes)
     with open(args.out_rejects, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -291,21 +309,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     cfg = _train_config(args)
     network = _network_from(args)
-    records, _ = _load_records(args.records)
-    records = _validated(network, records, args.eps_d)
-    if not records:
+    _, _, cols = _load_table(network, args.records, args.eps_d)
+    if not cols:
         raise ValueError("no usable records after validation")
-    paths = None
     if args.kind == models.KIND_BASELINE1:
-        model: models.Model = models.fit_baseline1(records)
+        model: models.Model = models.fit_baseline1(cols)
         sse_rows = None
     elif args.kind == models.KIND_BASELINE2:
-        paths = resolve_paths(network, records)
-        model = models.fit_baseline2(records, paths)
+        model = models.fit_baseline2(cols)
         sse_rows = None
     else:
         model, trail = models.train_edge_model(
-            network, records, cfg, smoothed=(args.kind == models.KIND_SMOOTHED)
+            network, cols, cfg, smoothed=(args.kind == models.KIND_SMOOTHED)
         )
         sse_rows = trail.sse_by_epoch
         print(f"untraversed_segments={len(trail.untraversed)}")
@@ -314,13 +329,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     models.save_model(model, args.out_model)
     if args.out_sse:
         if sse_rows is None:
-            if paths is None:
-                paths = resolve_paths(network, records)
-            sse_rows = [models.sse(model, records, paths)]
+            sse_rows = [models.sse(model, cols)]
         lines = ["epoch,sse"]
         lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sse_rows)]
         write_lines(args.out_sse, lines)
-    print(f"trained kind={args.kind} records={len(records)} sigma2={_fmt(model.sigma2)}")
+    print(f"trained kind={args.kind} records={len(cols)} sigma2={_fmt(model.sigma2)}")
     return 0
 
 
@@ -329,9 +342,8 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     cfg = _train_config(args)
     network = _network_from(args)
-    records, _ = _load_records(args.records)
-    records = _validated(network, records, args.eps_d)
-    result = evaluation.kfold(network, records, args.folds, kinds, cfg, args.seed)
+    _, _, cols = _load_table(network, args.records, args.eps_d)
+    result = evaluation.kfold(network, cols, args.folds, kinds, cfg, args.seed)
     lines = ["fold,kind,train_rmse,test_rmse,excluded"]
     for row in result.rows:
         lines.append(
@@ -348,27 +360,27 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     _require(args, "records", "routes", "model", "out")
     network = _network_from(args)
     model = models.load_model(args.model)
-    records, _ = _load_records(args.records)
-    records = _validated(network, records, args.eps_d)
-    if not records:
+    table, rows, cols = _load_table(network, args.records, args.eps_d)
+    if not rows:
         raise ValueError("no usable records after validation")
-    scored = anomaly.score(model, records, network)
+    expected, alphas = anomaly._deviations(model, cols)
     cfg = anomaly.DetectConfig(
         delta_quantile=args.delta_quantile, delta_override=args.delta_override
     )
-    significant, delta = anomaly.filter_significant(scored, cfg)
-    keep = {s.record.record_id for s in significant}
+    delta = anomaly._cutoff(alphas, cfg)
+    keys = [",".join(key) for key in table.keys]
     lines = [f"# delta={_fmt(delta)}", SCORED_HEADER]
-    for s in scored:
-        r = s.record
+    significant = 0
+    for i, observed, expect, alpha in zip(rows, cols.observed, expected, alphas):
+        flag = 1 if alpha > delta else 0  # per row: two rows may share a record id
+        significant += flag
         lines.append(
-            f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
-            f"{_fmt(r.t_start)},{_fmt(r.t_end)},{_fmt(r.observed_s)},"
-            f"{_fmt(s.expected_s)},{_fmt(s.alpha)},"
-            f"{1 if r.record_id in keep else 0}"
+            f"{table.record_ids[i]},{keys[table.key_of[i]]},"
+            f"{_fmt(table.t_start[i])},{_fmt(table.t_end[i])},{_fmt(observed)},"
+            f"{_fmt(expect)},{_fmt(alpha)},{flag}"
         )
     write_lines(args.out, lines)
-    print(f"scored={len(scored)} significant={len(significant)} delta={_fmt(delta)}")
+    print(f"scored={len(rows)} significant={significant} delta={_fmt(delta)}")
     return 0
 
 
@@ -410,8 +422,9 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     _require(args, "scored", "routes", "out_report", "out_daily")
     network = build_network(_load_routes(args.routes))
     filtered = _load_scored(args.scored, network)
-    counts = anomaly.containment_counts(filtered)
-    reports = anomaly.rank_anomalies(filtered, counts)
+    contained = anomaly._contained(filtered)
+    counts = anomaly.containment_counts(filtered, contained)
+    reports = anomaly.rank_anomalies(filtered, counts, contained)
     lines = [REPORT_HEADER]
     for rank, rep in enumerate(reports, start=1):
         r = rep.scored.record

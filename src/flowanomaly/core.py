@@ -114,6 +114,19 @@ class Path:
         return self._distance
 
 
+def check_record(
+    record_id: str, origin: NodeId, destination: NodeId,
+    t_start: float, t_end: float, distance_m: float,
+) -> None:
+    """The checks every FlowRecord passes, for parsers that skip building one."""
+    if not t_end > t_start:
+        raise ValueError(f"record {record_id!r}: t_end must exceed t_start")
+    if not distance_m > 0:
+        raise ValueError(f"record {record_id!r}: distance must be positive")
+    if origin == destination:
+        raise ValueError(f"record {record_id!r}: origin equals destination")
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One end-to-end flow: where it boarded/alighted, when, and how far."""
@@ -127,12 +140,8 @@ class FlowRecord:
     distance_m: float
 
     def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError(f"record {self.record_id!r}: t_end must exceed t_start")
-        if not self.distance_m > 0:
-            raise ValueError(f"record {self.record_id!r}: distance must be positive")
-        if self.origin == self.destination:
-            raise ValueError(f"record {self.record_id!r}: origin equals destination")
+        check_record(self.record_id, self.origin, self.destination,
+                     self.t_start, self.t_end, self.distance_m)
 
     @property
     def observed_s(self) -> float:

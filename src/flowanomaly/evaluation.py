@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import NetworkGraph, FlowRecord, Path, left_sum, resolve_paths
+from .core import NetworkGraph, Path, left_sum, resolve_paths
 from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
@@ -15,7 +15,9 @@ from .models import (
     KIND_SMOOTHED,
     MODEL_KINDS,
     Model,
+    Records,
     TrainConfig,
+    _Columns,
     fit_baseline1,
     fit_baseline2,
     sse,
@@ -52,49 +54,46 @@ class CrossValResult:
         return left_sum(values) / len(values)
 
 
-def rmse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:
+def rmse(model: Model, records: Records, paths: Sequence[Path] | None = None) -> float:
     if not records:
         raise EmptyInput("rmse needs records")
     return math.sqrt(sse(model, records, paths) / len(records))
 
 
-def make_folds(records: Sequence[FlowRecord], k: int, seed: int) -> FoldSplit:
-    """Seeded uniform shuffle then round-robin; fold sizes differ by at most 1."""
+def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
+    """Seeded uniform shuffle then round-robin; fold sizes differ by at most 1.
+
+    A record id that repeats takes the fold of its last position in the shuffle.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(records) < k:
         raise TooFewRecords(len(records), k)
+    if isinstance(records, _Columns):
+        record_ids = records.record_ids
+    else:
+        record_ids = [r.record_id for r in records]
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
-    assignments = {
-        records[idx].record_id: pos % k for pos, idx in enumerate(order)
-    }
+    assignments = {record_ids[idx]: pos % k for pos, idx in enumerate(order)}
     return FoldSplit(k=k, assignments=assignments, seed=seed)
 
 
-def _fit_kind(
-    kind: str,
-    network: NetworkGraph,
-    records: Sequence[FlowRecord],
-    paths: Sequence[Path],
-    cfg: TrainConfig,
-) -> Model:
+def _fit_kind(kind: str, network: NetworkGraph, cols: _Columns, cfg: TrainConfig) -> Model:
     if kind == KIND_BASELINE1:
-        return fit_baseline1(records)
+        return fit_baseline1(cols)
     if kind == KIND_BASELINE2:
-        return fit_baseline2(records, paths)
+        return fit_baseline2(cols)
     if kind in (KIND_EDGE, KIND_SMOOTHED):
-        model, _ = train_edge_model(
-            network, records, cfg, smoothed=(kind == KIND_SMOOTHED), paths=paths
-        )
+        model, _ = train_edge_model(network, cols, cfg, smoothed=(kind == KIND_SMOOTHED))
         return model
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
 def kfold(
     network: NetworkGraph,
-    records: Sequence[FlowRecord],
+    records: Records,
     k: int,
     model_kinds: Sequence[str],
     train_cfg: TrainConfig,
@@ -105,39 +104,33 @@ def kfold(
     The same folds are reused for every kind (paired comparison). Test records
     whose path crosses a segment no training record covered are excluded from
     the test metric and counted in the row's `excluded` column.
+
+    The records' columns are built once; each fold's train and test sets are
+    views of them in the records' order.
     """
     for kind in model_kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
     split = make_folds(records, k, seed)
-    paths = resolve_paths(network, records)
+    paths = None if isinstance(records, _Columns) else resolve_paths(network, records)
+    cols = _Columns.of(records, paths)
+    fold_of = [split.assignments[record_id] for record_id in cols.record_ids]
     result = CrossValResult()
     for fold in range(k):
-        train_recs, train_paths, test_recs, test_paths = [], [], [], []
-        for r, p in zip(records, paths):
-            if split.assignments[r.record_id] == fold:
-                test_recs.append(r)
-                test_paths.append(p)
-            else:
-                train_recs.append(r)
-                train_paths.append(p)
-        covered = {seg.key for p in train_paths for seg in p.segments}
-        kept_recs, kept_paths = [], []
-        excluded = 0
-        for r, p in zip(test_recs, test_paths):
-            if all(seg.key in covered for seg in p.segments):
-                kept_recs.append(r)
-                kept_paths.append(p)
-            else:
-                excluded += 1
+        train = cols.view([i for i, f in enumerate(fold_of) if f != fold])
+        covered = set(train.keys)
+        seen = [all(cols.keys[s] in covered for s in segs) for segs in cols.segs]
+        test_rows = [i for i, f in enumerate(fold_of) if f == fold]
+        test = cols.view([i for i in test_rows if seen[cols.path_of[i]]])
+        excluded = len(test_rows) - len(test)
         for kind in model_kinds:
-            model = _fit_kind(kind, network, train_recs, train_paths, train_cfg)
+            model = _fit_kind(kind, network, train, train_cfg)
             result.rows.append(
                 TrialRow(
                     fold=fold,
                     kind=kind,
-                    train_rmse=rmse(model, train_recs, train_paths),
-                    test_rmse=rmse(model, kept_recs, kept_paths),
+                    train_rmse=rmse(model, train),
+                    test_rmse=rmse(model, test),
                     excluded=excluded,
                 )
             )

@@ -11,7 +11,9 @@ positions, with one expected time per distinct path. Output stays byte-identical
 only while float sums are left-to-right += and squares are ** 2: on CPython 3.11,
 x ** 2 != x * x on 73 of 100k normal draws and np.add.reduceat differed from the
 left-to-right sum on 699 of 2000 random 1-15-segment paths; sum() of floats
-compensates from Python 3.12 on, so sums go through left_sum.
+compensates from Python 3.12 on, so sums go through left_sum. The same holds for
+a view (kfold's folds): it keeps its records' order and copies their stored
+floats, so its sums add the values a record list would, in the same order.
 """
 
 from __future__ import annotations
@@ -127,34 +129,36 @@ def path_key(path: Path) -> str:
     return ">".join(path.nodes)
 
 
-def fit_baseline1(records: Sequence[FlowRecord]) -> Baseline1Model:
+def fit_baseline1(records: Records) -> Baseline1Model:
     """Closed-form global speed: total distance over total observed time."""
     if not records:
         raise EmptyInput("fit_baseline1 needs records")
-    total_d = left_sum(r.distance_m for r in records)
-    total_t = left_sum(r.observed_s for r in records)
-    c = total_d / total_t
-    sigma2 = left_sum((r.observed_s - r.distance_m / c) ** 2 for r in records) / total_d
+    if isinstance(records, _Columns):  # no paths needed, so no _Columns.of
+        observed, distance = records.observed, records.distance
+    else:
+        observed = [r.observed_s for r in records]
+        distance = [r.distance_m for r in records]
+    total_d = left_sum(distance)
+    c = total_d / left_sum(observed)
+    sigma2 = left_sum((t - d / c) ** 2 for t, d in zip(observed, distance)) / total_d
     return Baseline1Model(c=c, sigma2=sigma2)
 
 
-def fit_baseline2(
-    records: Sequence[FlowRecord], paths: Sequence[Path]
-) -> Baseline2Model:
+def fit_baseline2(records: Records, paths: Sequence[Path] | None = None) -> Baseline2Model:
     """Closed-form per-path speeds with a variance pooled across paths."""
     if not records:
         raise EmptyInput("fit_baseline2 needs records")
-    if len(records) != len(paths):
-        raise ValueError("records and paths must be parallel")
+    cols = _Columns.of(records, paths)
+    key_of = [path_key(p) for p in cols.paths]
     sums: dict[str, tuple[float, float]] = {}
-    for r, p in zip(records, paths):
-        key = path_key(p)
+    for j, d_r, t_r in zip(cols.path_of, cols.distance, cols.observed):
+        key = key_of[j]
         d, t = sums.get(key, (0.0, 0.0))
-        sums[key] = (d + r.distance_m, t + r.observed_s)
+        sums[key] = (d + d_r, t + t_r)
     c_by_path = {key: d / t for key, (d, t) in sums.items()}
-    fallback = left_sum(r.distance_m for r in records) / left_sum(r.observed_s for r in records)
+    fallback = left_sum(cols.distance) / left_sum(cols.observed)
     model = Baseline2Model(c_by_path=c_by_path, sigma2=0.0, fallback_c=fallback)
-    resid_sq, total_d = _residual_pass(model, _Columns(records, paths))
+    resid_sq, total_d = _residual_pass(model, cols)
     model.sigma2 = resid_sq / total_d
     return model
 
@@ -250,7 +254,7 @@ def gradient(
 
 def init_edge_model(
     g: NetworkGraph,
-    records: Sequence[FlowRecord],
+    records: Records,
     cfg: TrainConfig,
     smoothed: bool = False,
 ) -> EdgeModel:
@@ -263,14 +267,19 @@ def init_edge_model(
 
 
 class _Columns:
-    """Records on their resolved paths as columns, built once per fit.
+    """Records on their resolved paths as columns.
 
     keys[i] owns speed position i; distinct Path object j (in order of first
-    use) has segs[j] (positions) and dists[j]; record k has path_of[k],
-    observed[k] (its observed_s, in a float array) and distance[k].
+    use) has segs[j] (positions) and dists[j]; record k has record_ids[k],
+    record_paths[k], path_of[k], observed[k] (its observed_s, in a float array)
+    and distance[k]. Every function that takes records and paths also takes a
+    _Columns in their place, the way the CLI and kfold call them.
     """
 
-    def __init__(self, records: Sequence[FlowRecord], paths: Sequence[Path]):
+    def __init__(self, record_ids: list[str], observed: array, distance: list[float],
+                 paths: Sequence[Path]):
+        self.record_ids, self.observed, self.distance = record_ids, observed, distance
+        self.record_paths = paths
         first: dict[int, int] = {}
         self.path_of = [first.setdefault(id(p), len(first)) for p in paths]
         self.paths = list({id(p): p for p in paths}.values())
@@ -280,8 +289,32 @@ class _Columns:
                      for p in self.paths]
         self.dists = [[s.distance_m for s in p.segments] for p in self.paths]
         self.keys = list(index)
-        self.observed = array("d", [r.t_end - r.t_start for r in records])
-        self.distance = [r.distance_m for r in records]
+
+    @classmethod
+    def of(cls, records: Records, paths: Sequence[Path] | None) -> _Columns:
+        """A _Columns as it is; a record list on its paths as a new _Columns."""
+        if isinstance(records, cls):
+            return records
+        if len(records) != len(paths):
+            raise ValueError("records and paths must be parallel")
+        return cls(
+            [r.record_id for r in records],
+            array("d", [r.t_end - r.t_start for r in records]),
+            [r.distance_m for r in records],
+            paths,
+        )
+
+    def __len__(self) -> int:
+        return len(self.path_of)
+
+    def view(self, rows: Sequence[int]) -> _Columns:
+        """The given records, in the given order: the _Columns of those records and paths."""
+        return _Columns(
+            list(map(self.record_ids.__getitem__, rows)),
+            array("d", map(self.observed.__getitem__, rows)),
+            list(map(self.distance.__getitem__, rows)),
+            list(map(self.record_paths.__getitem__, rows)),
+        )
 
     def expected_times(self, model: Model) -> list[float]:
         """Per record, from one sum (edge model) or one speed (baseline) per distinct path."""
@@ -292,34 +325,37 @@ class _Columns:
         return [d / speed[j] for j, d in zip(self.path_of, self.distance)]
 
 
+# FlowRecords with their paths alongside, or a _Columns, which carries its own.
+Records = Union[Sequence[FlowRecord], _Columns]
+
+
 def _residual_pass(model: Model, cols: _Columns) -> tuple[float, float]:
     """Sum of squared residuals and total distance, each summed left to right."""
     resid = zip(cols.observed, cols.expected_times(model))
     return left_sum((t - expect) ** 2 for t, expect in resid), left_sum(cols.distance)
 
 
-def sse(model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]) -> float:
+def sse(model: Model, records: Records, paths: Sequence[Path] | None = None) -> float:
     """Sum of squared residuals between expected and observed times."""
-    return _residual_pass(model, _Columns(records, paths))[0]
+    return _residual_pass(model, _Columns.of(records, paths))[0]
 
 
 def estimate_variance(
-    model: Model, records: Sequence[FlowRecord], paths: Sequence[Path]
+    model: Model, records: Records, paths: Sequence[Path] | None = None
 ) -> float:
     """Residual-based variance: sum of squared residuals over total distance."""
     if not records:
         raise EmptyInput("estimate_variance needs records")
-    resid_sq, total_d = _residual_pass(model, _Columns(records, paths))
+    resid_sq, total_d = _residual_pass(model, _Columns.of(records, paths))
     return resid_sq / total_d
 
 
 def sgd_epoch(
     model: EdgeModel,
-    records: Sequence[FlowRecord],
-    paths: Sequence[Path],
+    records: Records,
+    paths: Sequence[Path] | None,
     cfg: TrainConfig,
     epoch: int = 0,
-    cols: _Columns | None = None,
 ) -> tuple[EdgeModel, float]:
     """One ascent pass over the records in a seeded random order.
 
@@ -328,11 +364,11 @@ def sgd_epoch(
     whose variance sits below SIGMA2_FLOOR is treated as converged and the
     pass leaves the speeds in place. With variance_refresh the variance is
     re-estimated at epoch end. Returns the model and the post-epoch sum of
-    squared residuals. train_edge_model passes cols, built once per fit.
+    squared residuals. train_edge_model passes its _Columns, built once per fit.
     """
     if not records:
         raise EmptyInput("sgd_epoch needs records")
-    cols = cols or _Columns(records, paths)
+    cols = _Columns.of(records, paths)
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
     # a memoryview yields Python ints one at a time, without a list of them all
@@ -367,19 +403,19 @@ def sgd_epoch(
 
 def train_edge_model(
     g: NetworkGraph,
-    records: Sequence[FlowRecord],
+    records: Records,
     cfg: TrainConfig,
     smoothed: bool = False,
     paths: Sequence[Path] | None = None,
 ) -> tuple[EdgeModel, TrainResult]:
     """Initialize from the global fit and run cfg.epochs ascent passes."""
-    if paths is None:
+    if paths is None and not isinstance(records, _Columns):
         paths = resolve_paths(g, records)
-    model = init_edge_model(g, records, cfg, smoothed=smoothed)
-    cols = _Columns(records, paths)
+    cols = _Columns.of(records, paths)
+    model = init_edge_model(g, cols, cfg, smoothed=smoothed)
     result = TrainResult(untraversed=tuple(sorted(set(g.segments) - set(cols.keys))))
-    for epoch in range(cfg.epochs):
-        model, sse = sgd_epoch(model, records, paths, cfg, epoch=epoch, cols=cols)
+    for epoch in range(cfg.epochs):  # paths too: perfbench counts segment updates from them
+        model, sse = sgd_epoch(model, cols, cols.record_paths, cfg, epoch=epoch)
         result.sse_by_epoch.append(sse)
     return model, result
 

@@ -4,18 +4,21 @@ Rows are `record_id,service_id,board_stop,alight_stop,board_time,alight_time,
 distance_m` with a mandatory header. Times are epoch seconds or ISO-8601 with
 a UTC offset, within years 1-9999 UTC; distances are meters, no longer than
 the Earth's equator. Malformed rows, including non-finite times or distances,
-are skipped and reported with their line numbers, never silently dropped.
+bytes that are not UTF-8 and fields past the csv module's size limit, are
+skipped and reported with their line numbers, never silently dropped.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import count
 from typing import IO, Iterable, Sequence
 
-from .core import FlowRecord
+from .core import FlowRecord, NodeId, check_record
 from .errors import AllRowsRejected, UnreadableInput
 
 RECORD_HEADER = (
@@ -87,29 +90,66 @@ def _parse_distance(text: str) -> float:
     return distance
 
 
-def _parse_row(row: Sequence[str]) -> FlowRecord:
+def _parse_row(row: Sequence[str]) -> tuple[str, str, NodeId, NodeId, float, float, float]:
+    """A row's checked fields, in FlowRecord order; its first fault raises ValueError."""
     if len(row) != len(RECORD_HEADER):
         raise ValueError(f"expected {len(RECORD_HEADER)} fields, got {len(row)}")
     record_id, service_id, board, alight, t_start, t_end, distance = row
-    # arguments evaluate left to right, so a row's first fault is the one reported
-    return FlowRecord(
-        _check_token("record_id", record_id),
-        _check_token("service_id", service_id),
-        _check_token("board_stop", board),
-        _check_token("alight_stop", alight),
-        parse_timestamp(t_start),
-        parse_timestamp(t_end),
-        _parse_distance(distance),
-    )
+    record_id = _check_token("record_id", record_id)
+    service_id = _check_token("service_id", service_id)
+    origin = _check_token("board_stop", board)
+    destination = _check_token("alight_stop", alight)
+    t0, t1, d = parse_timestamp(t_start), parse_timestamp(t_end), _parse_distance(distance)
+    check_record(record_id, origin, destination, t0, t1, d)
+    return record_id, service_id, origin, destination, t0, t1, d
 
 
-def parse_records(
-    source: str | IO[str],
-) -> tuple[list[FlowRecord], list[RejectedRow]]:
-    """Parse a record file or stream; invalid rows land in the reject list."""
-    if isinstance(source, str):
+def _check_utf8(row: Sequence[str]) -> None:
+    """Reject a row holding bytes that the UTF-8 decoder escaped as lone surrogates."""
+    for name, value in zip(RECORD_HEADER, row):
         try:
-            fh: IO[str] = open(source, "r", encoding="utf-8", newline="")
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} is not valid UTF-8") from None
+
+
+@dataclass
+class RecordTable:
+    """Parsed rows as columns, so that no FlowRecord is built per row.
+
+    Row i has record_ids[i], keys[key_of[i]] as its (service_id, origin,
+    destination), t_start[i], t_end[i] and distance[i]. Each distinct key is
+    stored once, in order of first appearance, so network checks run per key.
+    """
+
+    record_ids: list[str] = field(default_factory=list)
+    keys: list[tuple[str, NodeId, NodeId]] = field(default_factory=list)
+    key_of: list[int] = field(default_factory=list)
+    t_start: array = field(default_factory=lambda: array("d"))
+    t_end: array = field(default_factory=lambda: array("d"))
+    distance: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def records(self) -> list[FlowRecord]:
+        keys = self.keys
+        return [
+            FlowRecord(record_id, *keys[k], t0, t1, d)
+            for record_id, k, t0, t1, d in zip(
+                self.record_ids, self.key_of, self.t_start, self.t_end, self.distance
+            )
+        ]
+
+
+def read_table(source: str | IO[str]) -> tuple[RecordTable, list[RejectedRow]]:
+    """Parse a record file or stream into columns; invalid rows land in the reject list.
+
+    Rows are numbered from 2 (the header is line 1), one number per row read.
+    """
+    if isinstance(source, str):
+        try:  # an undecodable byte becomes a lone surrogate that rejects its row only
+            fh: IO[str] = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
         except OSError as exc:
             raise UnreadableInput(f"cannot open {source!r}: {exc}") from exc
         close = True
@@ -122,27 +162,55 @@ def parse_records(
             header = next(reader)
         except StopIteration:
             raise UnreadableInput("input has no header row")
+        except csv.Error as exc:
+            raise UnreadableInput(f"bad header: {exc}") from exc
         if tuple(h.strip() for h in header) != RECORD_HEADER:
             raise UnreadableInput(
                 f"bad header {header!r}; expected {','.join(RECORD_HEADER)}"
             )
-        records: list[FlowRecord] = []
+        table = RecordTable()
+        record_ids, key_of = table.record_ids, table.key_of
+        t_start, t_end, distance = table.t_start, table.t_end, table.distance
+        key_index: dict[tuple[str, NodeId, NodeId], int] = {}
         rejects: list[RejectedRow] = []
         n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
+        for line_no in count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # such as an oversized field; the next row reads fine
+                n_rows += 1
+                rejects.append(RejectedRow(line_no=line_no, reason=str(exc)))
+                continue
             if not row:
                 continue
             n_rows += 1
             try:
-                records.append(_parse_row(row))
+                if not "".join(row).isascii():  # a flag check on CPython: ASCII rows skip the scan
+                    _check_utf8(row)
+                record_id, service_id, origin, destination, t0, t1, d = _parse_row(row)
             except ValueError as exc:
                 rejects.append(RejectedRow(line_no=line_no, reason=str(exc)))
-        if n_rows and not records:
+                continue
+            record_ids.append(record_id)
+            key_of.append(key_index.setdefault((service_id, origin, destination), len(key_index)))
+            t_start.append(t0)
+            t_end.append(t1)
+            distance.append(d)
+        if n_rows and not record_ids:
             raise AllRowsRejected(n_rows)
-        return records, rejects
+        table.keys.extend(key_index)
+        return table, rejects
     finally:
         if close:
             fh.close()
+
+
+def parse_records(source: str | IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]:
+    """Parse a record file or stream; invalid rows land in the reject list."""
+    table, rejects = read_table(source)
+    return table.records(), rejects
 
 
 def format_float(x: float) -> str:

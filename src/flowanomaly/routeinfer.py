@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .core import DEFAULT_DISTANCE_TOLERANCE_M, FlowRecord, NodeId, ServiceRoute
 from .errors import DisconnectedEvidence, DuplicatePosition, InconsistentEvidence
+from .recordio import RecordTable
 
 
 @dataclass(frozen=True)
@@ -36,30 +37,34 @@ class RouteInferenceOutcome:
 
 
 def collect_evidence(
-    records: Iterable[FlowRecord],
+    records: Iterable[FlowRecord] | RecordTable,
     eps_d: float = DEFAULT_DISTANCE_TOLERANCE_M,
 ) -> tuple[dict[str, list[DistanceEvidence]], dict[str, str]]:
-    """Aggregate records into per-service distance evidence.
+    """Aggregate records (FlowRecords, or a parsed RecordTable) into per-service evidence.
 
     Returns the evidence map and a map of services flagged inconsistent
     because two records disagree (beyond eps_d) on the same stop pair.
     Conflicts are recorded, never raised.
     """
+    if isinstance(records, RecordTable):
+        rows = zip(map(records.keys.__getitem__, records.key_of), records.distance)
+    else:
+        rows = (((r.service_id, r.origin, r.destination), r.distance_m) for r in records)
     first: dict[tuple[str, NodeId, NodeId], float] = {}  # each pair's first distance
     support: dict[tuple[str, NodeId, NodeId], int] = {}
     flagged: dict[str, str] = {}
-    for r in records:
-        key = (r.service_id, r.origin, r.destination)
+    for key, distance in rows:
         known = first.get(key)
         if known is None:
-            first[key] = r.distance_m
+            first[key] = distance
             support[key] = 1
             continue
         support[key] += 1
-        if abs(known - r.distance_m) > eps_d and r.service_id not in flagged:
-            flagged[r.service_id] = (
-                f"records disagree on {r.origin}->{r.destination}: "
-                f"{known:g} m vs {r.distance_m:g} m"
+        if abs(known - distance) > eps_d and key[0] not in flagged:
+            service_id, origin, destination = key
+            flagged[service_id] = (
+                f"records disagree on {origin}->{destination}: "
+                f"{known:g} m vs {distance:g} m"
             )
     evidence: dict[str, list[DistanceEvidence]] = {}
     for key, distance in first.items():
@@ -126,7 +131,7 @@ def infer_route(
 
 
 def infer_all_routes(
-    records: Iterable[FlowRecord],
+    records: Iterable[FlowRecord] | RecordTable,
     eps_d: float = DEFAULT_DISTANCE_TOLERANCE_M,
 ) -> RouteInferenceOutcome:
     """Run evidence collection and per-service inference over a record set."""

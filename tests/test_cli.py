@@ -258,6 +258,31 @@ class TestPipeline:
         assert len(daily_lines) == 2  # single generated day
         capsys.readouterr()
 
+    def test_detect_marks_significance_per_row(self, tmp_path, capsys):
+        # a copy of one row, same record id, 2000 s slower: only the copy is
+        # significant, so the 1s in scored.csv must match the printed count
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        model = tmp_path / "model.txt"
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "baseline1", "--out-model", str(model)) == 0
+        lines = rec_path.read_text().splitlines()
+        slow = lines[1].split(",")
+        slow[5] = repr(float(slow[5]) + 2000.0)
+        rec_path.write_text("\n".join(lines + [",".join(slow)]) + "\n")
+        scored = tmp_path / "scored.csv"
+        capsys.readouterr()
+        assert run("detect", "--records", str(rec_path), "--routes", str(routes),
+                   "--model", str(model), "--out", str(scored)) == 0
+        printed = capsys.readouterr().out
+        rows = [ln.split(",") for ln in scored.read_text().splitlines()[2:]]
+        delta = float(printed.split("delta=")[1])
+        assert [row[0] for row in rows].count(slow[0]) == 2
+        assert all((row[9] == "1") == (float(row[8]) > delta) for row in rows)
+        assert f"significant={sum(row[9] == '1' for row in rows)} " in printed
+
     def test_crossval_output(self, tmp_path, capsys):
         rec_path, _ = simulate_small(tmp_path, seed=5, n_records=400)
         routes = tmp_path / "routes.csv"

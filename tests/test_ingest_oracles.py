@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import random
+from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -71,7 +72,7 @@ def oracle_parse_row(row):
     # the one rule the reference gained on purpose: no distance past the equator
     if distance > EARTH_EQUATOR_M:
         raise ValueError(f"distance {row[6]!r} is longer than the Earth's equator")
-    return FlowRecord(
+    record = FlowRecord(
         record_id=record_id,
         service_id=service_id,
         origin=board,
@@ -80,6 +81,8 @@ def oracle_parse_row(row):
         t_end=t_end,
         distance_m=distance,
     )
+    # the library's row parser returns the checked fields, not a FlowRecord
+    return astuple(record)
 
 
 def oracle_collect_evidence(records, eps_d=DEFAULT_DISTANCE_TOLERANCE_M):

@@ -145,6 +145,33 @@ class TestParseRecords:
             "record 'b5': t_end must exceed t_start",
         ]
 
+    def test_oversized_field_is_one_reject_row(self):
+        # csv.reader raises past its field size limit (131072 characters); the
+        # row after it must keep parsing, and every row keeps its number
+        rows = ["r1,s1,a,b,0,60,400", "r2,s1,a,b,0,60," + "x" * 200_000,
+                "r3,s1,a,b,0,60,400", "r4,s1,a,b,60,0,400", "r5,s1,a,b,0,60,400"]
+        records, rejects = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        assert [r.record_id for r in records] == ["r1", "r3", "r5"]
+        assert [(rej.line_no, rej.reason) for rej in rejects] == [
+            (3, "field larger than field limit (131072)"),
+            (5, "record 'r4': t_end must exceed t_start"),
+        ]
+
+    def test_non_utf8_bytes_reject_their_row_only(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            (HEADER + "\nr1,s1,a,b,0,60,400\n").encode()
+            + b"\xff\xfe,s1,a,b,0,60,400\n"
+            + b"r3,s1,a,b\xc3,0,60,400\n"
+            + "r4,s1,é,b,0,60,400\n".encode()
+        )
+        records, rejects = parse_records(str(path))
+        assert [(r.record_id, r.origin) for r in records] == [("r1", "a"), ("r4", "é")]
+        assert [(rej.line_no, rej.reason) for rej in rejects] == [
+            (3, "record_id is not valid UTF-8"),
+            (4, "alight_stop is not valid UTF-8"),
+        ]
+
     def test_all_rows_rejected(self):
         text = HEADER + "\nr1,s1,a,b,60,0,400\n"
         with pytest.raises(AllRowsRejected):
