@@ -20,6 +20,7 @@ from .core import (
     NetworkGraph,
     FlowRecord,
     Path,
+    Segment,
     ServiceRoute,
     build_network,
     resolve_path,
@@ -426,27 +427,28 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     counts = anomaly.containment_counts(filtered, contained)
     reports = anomaly.rank_anomalies(filtered, counts, contained)
     lines = [REPORT_HEADER]
+    labels: dict[Segment, str] = {}
+    windows: dict[tuple[float, float], str] = {}
     for rank, rep in enumerate(reports, start=1):
-        r = rep.scored.record
-        window_order: list[tuple[float, float]] = []
-        grouped: dict[tuple[float, float], list] = {}
+        s, r = rep.scored, rep.scored.record
+        head = (
+            f"{rank},{r.record_id},{_fmt(s.alpha)},{rep.containment_count},"
+            f"{r.origin},{r.destination},{_fmt(r.t_start)},{_fmt(r.t_end)},"
+            f"{_fmt(r.observed_s)},{_fmt(s.expected_s)},|"
+        )
+        grouped: dict[tuple[float, float], list[str]] = {}  # windows in first-seen order
         for seg, w0, w1 in rep.congested_segments:
-            key = (w0, w1)
-            if key not in grouped:
-                grouped[key] = []
-                window_order.append(key)
-            grouped[key].append(seg)
-        for w0, w1 in window_order:
-            segs = "|" + "|".join(
-                f"{s.from_node}>{s.to_node}@{_fmt(s.distance_m)}"
-                for s in grouped[(w0, w1)]
-            ) + "|"
-            lines.append(
-                f"{rank},{r.record_id},{_fmt(rep.scored.alpha)},{rep.containment_count},"
-                f"{r.origin},{r.destination},{_fmt(r.t_start)},{_fmt(r.t_end)},"
-                f"{_fmt(r.observed_s)},{_fmt(rep.scored.expected_s)},"
-                f"{segs},{_fmt(w0)},{_fmt(w1)},{rep.provenance}"
-            )
+            label = labels.get(seg)
+            if label is None:
+                label = labels[seg] = f"{seg.from_node}>{seg.to_node}@{_fmt(seg.distance_m)}"
+            grouped.setdefault((w0, w1), []).append(label)
+        for key, segs in grouped.items():
+            window = windows.get(key)
+            if window is None:
+                window = f"{_fmt(key[0])},{_fmt(key[1])}"
+                if key[0] and key[1]:  # -0.0 == 0.0 as a key but formats as -0
+                    windows[key] = window
+            lines.append(f"{head}{'|'.join(segs)}|,{window},{rep.provenance}")
     write_lines(args.out_report, lines)
     daily = anomaly.daily_series(reports)
     daily_lines = [DAILY_HEADER]

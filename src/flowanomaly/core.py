@@ -88,7 +88,11 @@ class ServiceRoute:
 
 @dataclass(frozen=True)
 class Path:
-    """An ordered chain of segments; consecutive segments share a node."""
+    """An ordered chain of segments; consecutive segments share a node.
+
+    A path visits each node once, as every stretch of a route does, so its
+    segments are distinct; the trainer's in-place update relies on that.
+    """
 
     segments: tuple[Segment, ...]
 
@@ -102,6 +106,8 @@ class Path:
                     f"path breaks between {a.to_node!r} and {b.from_node!r}"
                 )
         nodes = (self.segments[0].from_node,) + tuple(s.to_node for s in self.segments)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("a path visits a node twice")
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_distance", left_sum(s.distance_m for s in self.segments))
 

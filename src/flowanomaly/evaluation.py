@@ -103,7 +103,8 @@ def kfold(
 
     The same folds are reused for every kind (paired comparison). Test records
     whose path crosses a segment no training record covered are excluded from
-    the test metric and counted in the row's `excluded` column.
+    the test metric and counted in the row's `excluded` column; a fold whose
+    test records are all excluded raises EmptyInput, naming the fold.
 
     The records' columns are built once; each fold's train and test sets are
     views of them in the records' order.
@@ -123,6 +124,11 @@ def kfold(
         test_rows = [i for i, f in enumerate(fold_of) if f == fold]
         test = cols.view([i for i in test_rows if seen[cols.path_of[i]]])
         excluded = len(test_rows) - len(test)
+        if excluded and not test and train and model_kinds:  # no train: the fit says so
+            raise EmptyInput(
+                f"fold {fold} has no test record left: all {excluded} cross a segment "
+                "that no training record covers; fewer folds or more records would help"
+            )
         for kind in model_kinds:
             model = _fit_kind(kind, network, train, train_cfg)
             result.rows.append(

@@ -14,6 +14,11 @@ left-to-right sum on 699 of 2000 random 1-15-segment paths; sum() of floats
 compensates from Python 3.12 on, so sums go through left_sum. The same holds for
 a view (kfold's folds): it keeps its records' order and copies their stored
 floats, so its sums add the values a record list would, in the same order.
+
+sgd_epoch's step loop (_steps) repeats _partials's expressions and float
+operation order inline, so a step makes no call and, unsmoothed, builds no list;
+_partials stays the definition that gradient() and the tests read, and
+TestInlineStepMatchesOracle pins the loop to the per-record reference bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .core import NetworkGraph, FlowRecord, NodeId, Path, Segment, left_sum, resolve_paths
 from .errors import (
@@ -218,6 +223,7 @@ def _partials(
 
     dists and speeds are the path's segment lengths and speeds, base is the
     residual over d_r * sigma2, and psi is 0 unless the model is smoothed.
+    _steps repeats these expressions inline, in the same order.
     """
     grads = []  # a loop, not a comprehension, which CPython 3.11 runs as a call
     for d, c in zip(dists, speeds):
@@ -350,6 +356,56 @@ def estimate_variance(
     return resid_sq / total_d
 
 
+def _steps(speeds: list[float], cols: _Columns, order: Iterable[int], cfg: TrainConfig,
+           sigma2: float, psi: float) -> None:
+    """One ascent step per record in order, on speeds (by position) in place.
+
+    A function of its own, so that its per-record and per-path lists are freed
+    before the epoch's residual pass, where training peaks in memory.
+    """
+    eta, tau, c_min = cfg.eta, cfg.tau, cfg.c_min
+    # lists of one shared (position, distance) tuple per segment: a tuple per pair
+    # would leave about 100 KiB of 2-tuples in CPython's free list after the epoch
+    shared: dict[tuple[int, float], tuple[int, float]] = {}
+    by_path = [[shared.setdefault(pair, pair) for pair in zip(segs, dists)]
+               for segs, dists in zip(cols.segs, cols.dists)]
+    pairs_of = list(map(by_path.__getitem__, cols.path_of))
+    observed, distance = cols.observed, cols.distance
+    if not psi:  # _partials without its neighbour terms, inline (see the module docstring)
+        for k in order:
+            pairs = pairs_of[k]
+            expect = 0.0
+            for i, d in pairs:
+                expect += d / speeds[i]
+            base = (observed[k] - expect) / (distance[k] * sigma2)
+            for i, d in pairs:  # a path's segments are distinct: speeds[i] is pre-step
+                c = speeds[i]
+                updated = c + eta * (-base * d / (c * c) + tau / c)
+                speeds[i] = updated if updated > c_min else c_min
+    else:
+        for k in order:
+            pairs = pairs_of[k]
+            expect = 0.0
+            before = []  # the pre-step speeds, which the neighbour terms read
+            for i, d in pairs:
+                c = speeds[i]
+                before.append(c)
+                expect += d / c
+            base = (observed[k] - expect) / (distance[k] * sigma2)
+            last = len(before) - 1
+            n = 0
+            for i, d in pairs:
+                c = before[n]
+                grad = -base * d / (c * c) + tau / c
+                if n < last:
+                    grad -= psi * (c - before[n + 1])
+                if n:
+                    grad += psi * (before[n - 1] - c)
+                updated = c + eta * grad
+                speeds[i] = updated if updated > c_min else c_min
+                n += 1
+
+
 def sgd_epoch(
     model: EdgeModel,
     records: Records,
@@ -377,23 +433,7 @@ def sgd_epoch(
         speeds = [model.c_by_segment[key] for key in cols.keys]
     except KeyError as exc:
         raise MissingSegmentSpeed(*exc.args[0]) from None
-    speed_at = speeds.__getitem__
-    eta, tau, c_min, sigma2 = cfg.eta, cfg.tau, cfg.c_min, model.sigma2
-    psi = cfg.psi if model.smoothed else 0.0
-    segs_of, dists_of, path_of = cols.segs, cols.dists, cols.path_of
-    observed, distance = cols.observed, cols.distance
-    for k in order:
-        j = path_of[k]
-        segs, dists = segs_of[j], dists_of[j]
-        segment_speeds = list(map(speed_at, segs))
-        expect = 0.0
-        for d, c in zip(dists, segment_speeds):
-            expect += d / c
-        base = (observed[k] - expect) / (distance[k] * sigma2)
-        grads = _partials(dists, segment_speeds, base, tau, psi)
-        for i, c, grad in zip(segs, segment_speeds, grads):
-            updated = c + eta * grad
-            speeds[i] = updated if updated > c_min else c_min
+    _steps(speeds, cols, order, cfg, model.sigma2, cfg.psi if model.smoothed else 0.0)
     model.c_by_segment.update(zip(cols.keys, speeds))
     resid_sq, total_d = _residual_pass(model, cols)
     if cfg.variance_refresh:

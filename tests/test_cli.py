@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 import flowanomaly
-from flowanomaly import models
-from flowanomaly.cli import run_command
+from flowanomaly import anomaly, cli, models
+from flowanomaly.cli import REPORT_HEADER, SCORED_HEADER, run_command
 from flowanomaly.models import expected_time, load_model
 from flowanomaly.core import build_network, resolve_path
-from flowanomaly.recordio import parse_records
+from flowanomaly.recordio import format_float, parse_records
 
 
 def run(*argv):
@@ -198,6 +198,34 @@ class TestValidation:
         assert code == 2
         assert capsys.readouterr().err == "error: float division by zero\n"
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_crossval_fold_with_every_test_record_excluded(self, tmp_path, capsys, seed):
+        # on seeds 1 and 3 fold 0 trains on both trips of one service and tests
+        # only on the other service, whose segment it never saw
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_text(
+            "record_id,service_id,board_stop,alight_stop,board_time,alight_time,distance_m\n"
+            "r1,s1,a,b,0,100,500\nr2,s2,c,d,0,100,500\n"
+            "r3,s1,a,b,200,300,500\nr4,s2,c,d,200,300,500\n"
+        )
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        capsys.readouterr()
+        out = tmp_path / "cv.csv"
+        code = run("crossval", "--records", str(rec_path), "--routes", str(routes),
+                   "--folds", "2", "--kinds", "baseline1,edge", "--epochs", "1",
+                   "--seed", seed, "--out", str(out))
+        if seed in ("0", "2"):
+            assert code == 0 and out.read_text().splitlines()[1] == "0,baseline1,0,0,0"
+            return
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: fold 0 has no test record left: all 2 cross a segment that no "
+            "training record covers; fewer folds or more records would help\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["baseline1", "baseline2", "edge"])
     def test_absurd_time_row_is_a_reject_line(self, tmp_path, capsys, kind):
         rec_path, _ = simulate_small(tmp_path)
@@ -371,6 +399,93 @@ class TestPipeline:
                    "--out-model", str(tmp_path / "m.txt"),
                    "--out-sse", str(sse_path)) == 0
         assert len(sse_path.read_text().splitlines()) == 3
+
+
+def oracle_report_lines(reports):
+    """The report.csv line loop that formatted every field of every window afresh."""
+    lines = [REPORT_HEADER]
+    for rank, rep in enumerate(reports, start=1):
+        r = rep.scored.record
+        window_order = []
+        grouped = {}
+        for seg, w0, w1 in rep.congested_segments:
+            key = (w0, w1)
+            if key not in grouped:
+                grouped[key] = []
+                window_order.append(key)
+            grouped[key].append(seg)
+        for w0, w1 in window_order:
+            segs = "|" + "|".join(
+                f"{s.from_node}>{s.to_node}@{format_float(s.distance_m)}"
+                for s in grouped[(w0, w1)]
+            ) + "|"
+            lines.append(
+                f"{rank},{r.record_id},{format_float(rep.scored.alpha)},"
+                f"{rep.containment_count},{r.origin},{r.destination},"
+                f"{format_float(r.t_start)},{format_float(r.t_end)},"
+                f"{format_float(r.observed_s)},{format_float(rep.scored.expected_s)},"
+                f"{segs},{format_float(w0)},{format_float(w1)},{rep.provenance}"
+            )
+    return lines
+
+
+class TestReportWriterMatchesLoop:
+    """localize's report.csv is byte-equal to the per-window formatting loop."""
+
+    def localize(self, tmp_path, scored, routes):
+        report = tmp_path / "report.csv"
+        assert run("localize", "--scored", str(scored), "--routes", str(routes),
+                   "--out-report", str(report), "--out-daily", str(tmp_path / "daily.csv")) == 0
+        network = build_network(cli._load_routes(str(routes)))
+        filtered = cli._load_scored(str(scored), network)
+        contained = anomaly._contained(filtered)
+        counts = anomaly.containment_counts(filtered, contained)
+        reports = anomaly.rank_anomalies(filtered, counts, contained)
+        want = "".join(ln + "\n" for ln in oracle_report_lines(reports))
+        assert report.read_text() == want
+        return [ln.split(",") for ln in want.splitlines()[1:]], filtered
+
+    def test_shared_corridor_pipeline(self, tmp_path):
+        rec_path = tmp_path / "records.csv"
+        assert run("simulate", "--out-records", str(rec_path),
+                   "--out-truth", str(tmp_path / "truth.csv"), "--services", "3",
+                   "--stops", "7", "--shared-corridor", "4", "--n-records", "800",
+                   "--seed", "2", "--congest-index", "2", "--congest-start", "20000",
+                   "--congest-end", "60000", "--congest-factor", "3") == 0
+        routes, model = tmp_path / "routes.csv", tmp_path / "model.txt"
+        scored = tmp_path / "scored.csv"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--epochs", "3", "--eta", "0.01", "--out-model", str(model)) == 0
+        assert run("detect", "--records", str(rec_path), "--routes", str(routes),
+                   "--model", str(model), "--delta-quantile", "0.3", "--out", str(scored)) == 0
+        rows, filtered = self.localize(tmp_path, scored, routes)
+        service_of = {s.record.record_id: s.record.service_id for s in filtered}
+        windows_of, services_of = {}, {}
+        for row in rows:
+            windows_of.setdefault((row[0], row[13]), set()).add((row[11], row[12]))
+            for label in row[10].strip("|").split("|"):
+                services_of.setdefault(label, set()).add(service_of[row[1]])
+        assert any(len(w) > 1 for (_, prov), w in windows_of.items()
+                   if prov == anomaly.PROVENANCE_WITNESS)
+        assert any(prov == anomaly.PROVENANCE_SELF for _, prov in windows_of)
+        assert any(len(services) > 1 for services in services_of.values())
+
+    def test_signed_zero_windows(self, tmp_path):
+        # -0.0 == 0.0, so a window keyed by its bounds must not reuse the other's text
+        routes = tmp_path / "routes.csv"
+        routes.write_text("service_id,seq,stop,cumulative_m\n"
+                          + "".join(f"s1,{i},{stop},{100 * i}\n" for i, stop in enumerate("abcd")))
+        scored = tmp_path / "scored.csv"
+        scored.write_text(
+            "# delta=1\n" + SCORED_HEADER + "\n"
+            "outer,s1,a,d,-10,1000,1010,100,10,1\n"
+            "neg,s1,b,c,-0,500,500,10,50,1\n"
+            "pos,s1,c,d,0,500,500,10,40,1\n"
+        )
+        rows, _ = self.localize(tmp_path, scored, routes)
+        assert {(row[1], row[11]) for row in rows} >= {("neg", "-0"), ("pos", "0")}
 
 
 class TestStartup:

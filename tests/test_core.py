@@ -43,6 +43,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             Path((Segment("a", "b", 10.0), Segment("c", "d", 10.0)))
 
+    def test_path_rejects_revisited_node(self):
+        with pytest.raises(ValueError, match="visits a node twice"):
+            Path((Segment("a", "b", 10.0), Segment("b", "a", 10.0), Segment("a", "b", 10.0)))
+
     def test_path_nodes_and_distance(self):
         p = Path((Segment("a", "b", 10.0), Segment("b", "c", 20.0)))
         assert p.nodes == ("a", "b", "c")

@@ -1,11 +1,14 @@
 import io
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flowanomaly import models
 from flowanomaly.anomaly import score
-from flowanomaly.core import build_network
+from flowanomaly.core import build_network, left_sum
 from flowanomaly.errors import (
     EmptyInput,
     MissingSegmentSpeed,
@@ -537,6 +540,114 @@ class TestColumnarTrainerMatchesOracle:
             with pytest.raises(MissingSegmentSpeed) as got:
                 call()
             assert str(got.value) == str(want.value)
+
+
+def random_corridor(seed, n_records=150):
+    """Two to four services through a shared corridor, with paths of 1 to 15 segments.
+
+    Service 0 has five stops before and after the corridor, so its whole route
+    is an 11- to 15-segment path; one record per service rides its whole route.
+    """
+    rng = random.Random(seed)
+    corridor = [f"c{i}" for i in range(rng.randint(2, 6))]
+    corridor_gap = [rng.uniform(50.0, 900.0) for _ in corridor[1:]]
+    routes = []
+    for s in range(rng.randint(2, 4)):
+        n_head, n_tail = (5, 5) if s == 0 else (rng.randint(0, 5), rng.randint(0, 5))
+        stops = [f"h{s}_{i}" for i in range(n_head)] + corridor
+        stops += [f"t{s}_{i}" for i in range(n_tail)]
+        gaps = [rng.uniform(50.0, 900.0) for _ in range(n_head)] + corridor_gap
+        gaps += [rng.uniform(50.0, 900.0) for _ in range(n_tail)]
+        cumulative = [0.0]
+        for gap in gaps:
+            cumulative.append(cumulative[-1] + gap)
+        routes.append(make_route(f"s{s}", stops, cumulative))
+    net = build_network(routes)
+    speed = {key: rng.uniform(3.0, 15.0) for key in sorted(net.segments)}
+    trips = [(route, 0, len(route.stops) - 1) for route in routes]
+    for _ in range(n_records - len(trips)):
+        route = rng.choice(routes)
+        i, j = sorted(rng.sample(range(len(route.stops)), 2))
+        trips.append((route, i, j))
+    records = []
+    for n, (route, i, j) in enumerate(trips):
+        segs = [net.segments[a, b] for a, b in zip(route.stops[i:j], route.stops[i + 1:j + 1])]
+        t_hat = left_sum(seg.distance_m / speed[seg.key] for seg in segs)
+        t0 = rng.uniform(0.0, 86_400.0)
+        records.append(rec(route.cumulative_m[j] - route.cumulative_m[i],
+                           t_hat * rng.uniform(0.7, 1.4), f"r{n}", route.stops[i],
+                           route.stops[j], route.service_id, t0))
+    return net, records
+
+
+def float_state(model, sse_value):
+    """Speeds in key order, the SSE and sigma2, every float as hex."""
+    return ([(key, c.hex()) for key, c in model.c_by_segment.items()],
+            sse_value.hex(), model.sigma2.hex())
+
+
+class TestInlineStepMatchesOracle:
+    """sgd_epoch's inline step loop is bit-equal to oracle_sgd_epoch on random networks."""
+
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("psi, tau", [(0.0, 0.0), (0.05, 1e-3)])
+    @pytest.mark.parametrize("eta", [0.01, 5.0])  # 5.0 clamps at c_min
+    @pytest.mark.parametrize("refresh", [True, False])
+    def test_seeded_sweep(self, smoothed, psi, tau, eta, refresh):
+        lengths, clamps = set(), 0
+        for seed in self.SEEDS:
+            net, records = random_corridor(seed)
+            paths = resolve_paths(net, records)
+            lengths.update(len(p.segments) for p in paths)
+            cfg = TrainConfig(eta=eta, tau=tau, psi=psi, shuffle_seed=seed,
+                              variance_refresh=refresh)
+            want = init_edge_model(net, records, cfg, smoothed=smoothed)
+            if seed % 3 == 0:  # starts frozen; a refreshed sigma2 thaws it
+                want.sigma2 = SIGMA2_FLOOR / 2
+            got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
+            for epoch in range(3):
+                want, want_sse, n = oracle_sgd_epoch(want, records, paths, cfg, epoch)
+                got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+                assert float_state(got, got_sse) == float_state(want, want_sse)
+                clamps += n
+        assert min(lengths) == 1 and max(lengths) == 15
+        assert (clamps > 0) == (eta > 1.0)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_squares_are_products(self, smoothed):
+        # c ** 2 and c * c round apart for about one speed in a thousand, and only a
+        # step of about half the speed carries that last bit into the result
+        path = chain_path("ab", [1000.0])
+        rng = np.random.default_rng(0)
+        found = 0
+        for c in (3.0 + 12.0 * rng.random(20_000)).tolist():
+            if c ** 2 == c * c:
+                continue
+            r = rec(1000.0, 2000.0 / c)
+            cfg = TrainConfig(eta=c ** 4 / 2000.0, tau=1e-3, psi=0.05)
+            base = (r.observed_s - 1000.0 / c) / 1000.0
+            if c + cfg.eta * (-base * 1000.0 / c ** 2 + cfg.tau / c) == \
+                    c + cfg.eta * (-base * 1000.0 / (c * c) + cfg.tau / c):
+                continue
+            want, _, _ = oracle_sgd_epoch(EdgeModel({("a", "b"): c}, 1.0, smoothed), [r],
+                                          [path], cfg)
+            got, _ = sgd_epoch(EdgeModel({("a", "b"): c}, 1.0, smoothed), [r], [path], cfg)
+            assert got.c_by_segment[("a", "b")].hex() == want.c_by_segment[("a", "b")].hex()
+            found += 1
+        if not found:  # a correctly rounded libm pow gives c ** 2 == c * c throughout
+            pytest.skip("no drawn speed whose one step tells c ** 2 from c * c")
+
+    def test_train_edge_model_passes_record_paths_third(self):
+        net, records = random_corridor(1)
+        cfg = TrainConfig(eta=0.01, epochs=2)
+        with mock.patch.object(models, "sgd_epoch", wraps=models.sgd_epoch) as spy:
+            train_edge_model(net, records, cfg)
+        assert spy.call_count == cfg.epochs
+        want = [id(p) for p in resolve_paths(net, records)]
+        for call in spy.call_args_list:
+            assert [id(p) for p in call.args[2]] == want
 
 
 class TestExpectedTimesMatchPerRecordLoop:
