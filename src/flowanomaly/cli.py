@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from array import array
 from dataclasses import fields, replace
@@ -320,13 +321,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
         model = models.fit_baseline2(cols)
         sse_rows = None
     else:
-        model, trail = models.train_edge_model(
-            network, cols, cfg, smoothed=(args.kind == models.KIND_SMOOTHED)
-        )
+        if args.kind == models.KIND_EDGE:
+            model, trail = models.fit_edge_model(network, cols)
+            reported = ("untraversed", "unidentifiable", "nonpositive")
+        else:
+            model, trail = models.train_edge_model(network, cols, cfg, smoothed=True)
+            reported = ("untraversed",)
         sse_rows = trail.sse_by_epoch
-        print(f"untraversed_segments={len(trail.untraversed)}")
-        for frm, to in trail.untraversed:
-            print(f"untraversed {frm} {to}")
+        for name in reported:
+            keys = getattr(trail, name)
+            print(f"{name}_segments={len(keys)}")
+            for frm, to in keys:
+                print(f"{name} {frm} {to}")
     models.save_model(model, args.out_model)
     if args.out_sse:
         if sse_rows is None:
@@ -462,14 +468,31 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     return 0
 
 
+_TRAIN_HELP = {
+    "eta": "step size",
+    "tau": "log-barrier strength",
+    "psi": "smoothing strength",
+    "epochs": "passes over the records",
+    "c_min": "speed floor after each step",
+    "shuffle_seed": "seed of each epoch's record order",
+    "variance_refresh": "keep the first sigma2 instead of re-estimating it each epoch",
+}
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """One flag per TrainConfig field; a boolean field that defaults on gets --no-<name>."""
+    group = p.add_argument_group(
+        "gradient ascent",
+        "These act on the smoothed-edge kind only; edge is fitted in closed form.",
+    )
     for dest, (caster, default) in _TRAIN_TUNABLES.items():
         flag = dest.replace("_", "-")
         if caster is _parse_bool:
-            p.add_argument(f"--no-{flag}", dest=dest, action="store_const", const=not default)
+            group.add_argument(f"--no-{flag}", dest=dest, action="store_const",
+                               const=not default, help=_TRAIN_HELP[dest])
         else:
-            p.add_argument(f"--{flag}", type=caster)
+            group.add_argument(f"--{flag}", type=caster,
+                               help=f"{_TRAIN_HELP[dest]} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,8 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records")
     p.add_argument("--routes")
     p.add_argument("--out-model")
-    p.add_argument("--out-sse")
-    p.add_argument("--kind")
+    p.add_argument("--out-sse", help="epoch,sse rows: one per epoch for smoothed-edge, "
+                                     "one for the closed-form kinds")
+    p.add_argument("--kind", help=f"one of {', '.join(models.MODEL_KINDS)} "
+                                  f"(default {models.KIND_EDGE})")
     _add_train_flags(p)
     p.add_argument("--eps-d", type=float)
 
@@ -573,6 +598,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # Before numpy loads: the edge fit's one solve is segments x segments, and a
+    # second BLAS thread made it take 0.1 s instead of 1 ms in some processes
+    # while another process held the second core of a 2-core host.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run_command())
 
 

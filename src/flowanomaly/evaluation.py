@@ -20,6 +20,7 @@ from .models import (
     _Columns,
     fit_baseline1,
     fit_baseline2,
+    fit_edge_model,
     sse,
     train_edge_model,
 )
@@ -63,7 +64,8 @@ def rmse(model: Model, records: Records, paths: Sequence[Path] | None = None) ->
 def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
     """Seeded uniform shuffle then round-robin; fold sizes differ by at most 1.
 
-    A record id that repeats takes the fold of its last position in the shuffle.
+    A record id that repeats takes the fold of its last position in the shuffle,
+    so repeated ids can leave one fold with every record (kfold names it).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -85,9 +87,10 @@ def _fit_kind(kind: str, network: NetworkGraph, cols: _Columns, cfg: TrainConfig
         return fit_baseline1(cols)
     if kind == KIND_BASELINE2:
         return fit_baseline2(cols)
-    if kind in (KIND_EDGE, KIND_SMOOTHED):
-        model, _ = train_edge_model(network, cols, cfg, smoothed=(kind == KIND_SMOOTHED))
-        return model
+    if kind == KIND_EDGE:
+        return fit_edge_model(network, cols)[0]
+    if kind == KIND_SMOOTHED:
+        return train_edge_model(network, cols, cfg, smoothed=True)[0]
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
@@ -104,7 +107,8 @@ def kfold(
     The same folds are reused for every kind (paired comparison). Test records
     whose path crosses a segment no training record covered are excluded from
     the test metric and counted in the row's `excluded` column; a fold whose
-    test records are all excluded raises EmptyInput, naming the fold.
+    test records are all excluded raises EmptyInput, naming the fold, and so does
+    a fold that holds every record (records with a repeated id share a fold).
 
     The records' columns are built once; each fold's train and test sets are
     views of them in the records' order.
@@ -124,7 +128,13 @@ def kfold(
         test_rows = [i for i, f in enumerate(fold_of) if f == fold]
         test = cols.view([i for i in test_rows if seen[cols.path_of[i]]])
         excluded = len(test_rows) - len(test)
-        if excluded and not test and train and model_kinds:  # no train: the fit says so
+        if model_kinds and not train:
+            raise EmptyInput(
+                f"fold {fold} has every one of the {len(cols)} records and none to train on: "
+                "records that share a record id share a fold; fewer folds or distinct "
+                "record ids would help"
+            )
+        if model_kinds and excluded and not test:
             raise EmptyInput(
                 f"fold {fold} has no test record left: all {excluded} cross a segment "
                 "that no training record covers; fewer folds or more records would help"

@@ -1,10 +1,16 @@
 """Travel-time models: global speed, per-path speed, and per-segment speed.
 
 The per-segment model treats each record's time as Gaussian with mean
-sum(d_ij/c_ij) over its path and variance d_r*sigma2, and fits the speeds by
-stochastic gradient ascent on the log likelihood with a log-barrier keeping
-speeds positive. The smoothed variant additionally penalizes speed
-differences between consecutive segments of a path.
+sum(d_ij/c_ij) over its path and variance d_r*sigma2. The edge kind is fitted
+in closed form (fit_edge_model): in slowness 1/c the mean is linear, so the
+maximum-likelihood speeds are one weighted least-squares solve, which also
+reports the segments the records cannot separate (unidentifiable) and those
+whose fitted slowness is not positive. The smoothed kind, which also
+penalizes speed differences between consecutive segments of a path, is fitted
+by the paper's stochastic gradient ascent on the log likelihood with a
+log-barrier keeping speeds positive (train_edge_model); TrainConfig and its
+CLI flags act on that ascent only. The ascent without smoothing remains the
+reference that the gradient, convergence and speed-recovery tests exercise.
 
 Training and residuals run on a columnar view (_Columns) of interned segment
 positions, with one expected time per distinct path. Output stays byte-identical
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import IO, Iterable, Sequence, Union
 
 from .core import NetworkGraph, FlowRecord, NodeId, Path, Segment, left_sum, resolve_paths
@@ -119,10 +126,18 @@ Model = Union[Baseline1Model, Baseline2Model, EdgeModel]
 
 @dataclass
 class TrainResult:
-    """Per-epoch SSE trail plus the segments no training record touched."""
+    """Per-epoch SSE trail (one entry for a closed-form fit) and the segments it reports.
+
+    untraversed: no training record crosses them. unidentifiable and
+    nonpositive come from fit_edge_model only: segments whose speed the records
+    cannot separate from their neighbours', and segments whose fitted slowness
+    was not positive (both defined there).
+    """
 
     sse_by_epoch: list[float] = field(default_factory=list)
     untraversed: tuple[tuple[NodeId, NodeId], ...] = ()
+    unidentifiable: tuple[tuple[NodeId, NodeId], ...] = ()
+    nonpositive: tuple[tuple[NodeId, NodeId], ...] = ()
 
 
 def path_key(path: Path) -> str:
@@ -453,11 +468,86 @@ def train_edge_model(
         paths = resolve_paths(g, records)
     cols = _Columns.of(records, paths)
     model = init_edge_model(g, cols, cfg, smoothed=smoothed)
-    result = TrainResult(untraversed=tuple(sorted(set(g.segments) - set(cols.keys))))
+    result = TrainResult(untraversed=_untraversed(g, cols))
     for epoch in range(cfg.epochs):  # paths too: perfbench counts segment updates from them
         model, sse = sgd_epoch(model, cols, cols.record_paths, cfg, epoch=epoch)
         result.sse_by_epoch.append(sse)
     return model, result
+
+
+def _untraversed(g: NetworkGraph, cols: _Columns) -> tuple[tuple[NodeId, NodeId], ...]:
+    return tuple(sorted(set(g.segments) - set(cols.keys)))
+
+
+# A segment whose unit vector has a null-space component above this norm is
+# unidentifiable. A computed null-space basis is off by about eps * cond(N),
+# far below this unless N is all but singular.
+NULL_COMPONENT_TOL = 1e-6
+
+
+def fit_edge_model(
+    g: NetworkGraph, records: Records, paths: Sequence[Path] | None = None
+) -> tuple[EdgeModel, TrainResult]:
+    """Maximum-likelihood segment speeds in closed form: weighted least squares in slowness.
+
+    In slowness s = 1/c a record's expected time a_p . s is linear, a_p being
+    the segment lengths along its path p, so with variance d_r*sigma2 the
+    likelihood is maximal where sum((t_r - a_p . s)^2 / d_r) is least. Records
+    on one path share a_p: the normal equations are N s = b with
+    N = sum_p w_p a_p a_p' and b = sum_p u_p a_p, where w_p and u_p sum 1/d_r
+    and t_r/d_r over the path's records.
+
+    The solve starts at the global fit's slowness s0 and adds the least-squares
+    correction delta of smallest length-weighted norm sum(l_i * delta_i^2),
+    from one eigendecomposition of N scaled by the square roots of the segment
+    lengths l; eigenvalues up to lambda_max * S * eps count as zero. A segment
+    with a component in that null space is unidentifiable: no record separates
+    its time from its neighbours' (consecutive segments that every trip crosses
+    together, say), and the weighted norm gives such a stretch one shared
+    correction, so one speed. A fitted slowness that is not positive (or a
+    speed that is not finite) is reported as nonpositive and replaced by the
+    global speed; untraversed segments keep the global speed too. sigma2 is the
+    residual variance, and sse_by_epoch holds the one fit's SSE.
+    """
+    if not records:
+        raise EmptyInput("fit_edge_model needs records")
+    if paths is None and not isinstance(records, _Columns):
+        paths = resolve_paths(g, records)
+    cols = _Columns.of(records, paths)
+    base = fit_baseline1(cols)
+    import numpy as np  # imported here, as for the seeded draws: numpy is slow to load
+    distance = np.array(cols.distance)  # every record distance is > 0 (check_record)
+    path_of = np.array(cols.path_of)
+    w = np.bincount(path_of, 1.0 / distance)
+    u = np.bincount(path_of, np.frombuffer(cols.observed) / distance)
+    n_seg = len(cols.keys)
+    normal, rhs, length = np.zeros((n_seg, n_seg)), np.zeros(n_seg), np.zeros(n_seg)
+    for segs, dists, w_p, u_p in zip(cols.segs, cols.dists, w.tolist(), u.tolist()):
+        i, a = np.array(segs), np.array(dists)  # a path's segments are distinct: no repeats
+        normal[i[:, None], i] += (w_p * a)[:, None] * a
+        rhs[i] += u_p * a
+        length[i] = a
+    s0 = 1.0 / base.c
+    root = np.sqrt(length)  # y = root * delta: the plain smallest norm in y is the weighted one
+    lam, vec = np.linalg.eigh(normal / np.outer(root, root))
+    null = lam <= lam[-1] * n_seg * np.finfo(float).eps
+    kept = vec[:, ~null]
+    y = kept @ ((kept.T @ ((rhs - normal.sum(axis=1) * s0) / root)) / lam[~null])
+    with np.errstate(divide="ignore"):
+        speed = 1.0 / (s0 + y / root)
+    bad = ~(np.isfinite(speed) & (speed > 0))
+    speeds = dict.fromkeys(g.segments, base.c)
+    speeds.update(zip(cols.keys, np.where(bad, base.c, speed).tolist()))
+    model = EdgeModel(c_by_segment=speeds, sigma2=0.0)
+    resid_sq, total_d = _residual_pass(model, cols)
+    model.sigma2 = resid_sq / total_d
+    unidentifiable = np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL
+    return model, TrainResult(
+        sse_by_epoch=[resid_sq],
+        untraversed=_untraversed(g, cols),
+        unidentifiable=tuple(sorted(compress(cols.keys, unidentifiable))),
+        nonpositive=tuple(sorted(compress(cols.keys, bad))),
+    )
 
 
 def save_model(model: Model, dest: str | IO[str]) -> None:

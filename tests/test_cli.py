@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import flowanomaly
-from flowanomaly import anomaly, cli, models
+from flowanomaly import anomaly, cli, evaluation, models
 from flowanomaly.cli import REPORT_HEADER, SCORED_HEADER, run_command
 from flowanomaly.models import expected_time, load_model
 from flowanomaly.core import build_network, resolve_path
@@ -117,6 +117,7 @@ class TestValidation:
         cfg.write_text("epochs=2\ndelta_quantile=0.05\n")
         sse_path = tmp_path / "sse.csv"
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "smoothed-edge",
                    "--config", str(cfg), "--out-model", str(tmp_path / "m.txt"),
                    "--out-sse", str(sse_path)) == 0
         assert len(sse_path.read_text().splitlines()) == 3
@@ -194,9 +195,27 @@ class TestValidation:
         monkeypatch.setattr(models, "train_edge_model", divide)
         capsys.readouterr()
         code = run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "smoothed-edge", "--out-model", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: float division by zero\n"
+
+    def test_edge_fit_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        rec_path, _ = simulate_small(tmp_path)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+
+        def divide(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(models, "fit_edge_model", divide)
+        capsys.readouterr()
+        code = run("train", "--records", str(rec_path), "--routes", str(routes),
                    "--kind", "edge", "--out-model", str(tmp_path / "m.txt"))
         assert code == 2
         assert capsys.readouterr().err == "error: float division by zero\n"
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
     def test_crossval_fold_with_every_test_record_excluded(self, tmp_path, capsys, seed):
@@ -223,6 +242,32 @@ class TestValidation:
         assert capsys.readouterr().err == (
             "error: fold 0 has no test record left: all 2 cross a segment that no "
             "training record covers; fewer folds or more records would help\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", "2", "3"])
+    def test_crossval_fold_holding_every_record_by_repeated_ids(self, tmp_path, capsys, seed):
+        # r1 twice takes one fold; on these seeds r2 lands in the same fold
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_text(
+            "record_id,service_id,board_stop,alight_stop,board_time,alight_time,distance_m\n"
+            "r1,s1,a,b,0,100,500\nr1,s1,a,b,200,300,500\nr2,s1,a,b,400,500,500\n"
+        )
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        fold = evaluation.make_folds(parse_records(str(rec_path))[0], 2, int(seed))
+        assert len(set(fold.assignments.values())) == 1
+        capsys.readouterr()
+        out = tmp_path / "cv.csv"
+        code = run("crossval", "--records", str(rec_path), "--routes", str(routes),
+                   "--folds", "2", "--kinds", "baseline1", "--epochs", "1",
+                   "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: fold {fold.assignments['r1']} has every one of the 3 records and none "
+            "to train on: records that share a record id share a fold; fewer folds or "
+            "distinct record ids would help\n"
         )
         assert not out.exists()
 
@@ -256,7 +301,7 @@ class TestPipeline:
         model_path = tmp_path / "model.txt"
         sse_path = tmp_path / "sse.csv"
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "edge", "--eta", "0.003", "--epochs", "10",
+                   "--kind", "smoothed-edge", "--eta", "0.003", "--epochs", "10",
                    "--out-model", str(model_path), "--out-sse", str(sse_path)) == 0
         assert sse_path.read_text().splitlines()[0] == "epoch,sse"
         assert len(sse_path.read_text().splitlines()) == 11
@@ -357,7 +402,7 @@ class TestPipeline:
         cfg.write_text("epochs=4\neta=0.002\n# comment line\n\n")
         sse_path = tmp_path / "sse.csv"
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "edge", "--config", str(cfg),
+                   "--kind", "smoothed-edge", "--config", str(cfg),
                    "--out-model", str(tmp_path / "m.txt"),
                    "--out-sse", str(sse_path)) == 0
         assert len(sse_path.read_text().splitlines()) == 5  # header + 4 epochs
@@ -395,7 +440,7 @@ class TestPipeline:
         cfg.write_text("epochs=4\n")
         sse_path = tmp_path / "sse.csv"
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "edge", "--config", str(cfg), "--epochs", "2",
+                   "--kind", "smoothed-edge", "--config", str(cfg), "--epochs", "2",
                    "--out-model", str(tmp_path / "m.txt"),
                    "--out-sse", str(sse_path)) == 0
         assert len(sse_path.read_text().splitlines()) == 3

@@ -27,6 +27,7 @@ from flowanomaly.models import (
     _Columns,
     fit_baseline1,
     fit_baseline2,
+    fit_edge_model,
     load_model,
     train_edge_model,
 )
@@ -184,8 +185,9 @@ def oracle_fit(kind, network, records, paths, cfg):
         return fit_baseline1(records)
     if kind == "baseline2":
         return fit_baseline2(records, paths)
-    model, _ = train_edge_model(network, records, cfg, smoothed=(kind == "smoothed-edge"),
-                                paths=paths)
+    if kind == "edge":
+        return fit_edge_model(network, records, paths)[0]
+    model, _ = train_edge_model(network, records, cfg, smoothed=True, paths=paths)
     return model
 
 
