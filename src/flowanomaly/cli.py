@@ -3,12 +3,17 @@
 Subcommands cover the whole pipeline: simulate, infer-routes, train,
 crossval, detect, localize. Every random choice is seeded from explicit
 flags, so identical invocations produce byte-identical output files.
+
+Each flag is declared once: a subcommand's file flags in _SUBCOMMANDS, and its
+tunables in _TUNABLES, which are also its config-file keys (TrainConfig's
+fields, and SynthConfig's defaults for simulate). The file formats live in
+recordio; this module parses flags, runs the library and prints the summaries.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 from array import array
@@ -21,8 +26,6 @@ from .core import (
     NetworkGraph,
     FlowRecord,
     Path,
-    Segment,
-    ServiceRoute,
     build_network,
     resolve_path,
     resolve_paths,  # noqa: F401 - perfbench/tracing.py wraps these two names here
@@ -30,17 +33,6 @@ from .core import (
 )
 from .errors import FlowError
 from .recordio import format_float as _fmt, write_lines
-
-ROUTES_HEADER = "service_id,seq,stop,cumulative_m"
-SCORED_HEADER = (
-    "record_id,service_id,origin,destination,t_start,t_end,"
-    "observed_s,expected_s,alpha,significant"
-)
-REPORT_HEADER = (
-    "rank,record_id,alpha,count,origin,destination,t_start,t_end,"
-    "observed_s,expected_s,segments,window_start,window_end,provenance"
-)
-DAILY_HEADER = "date,mean_count,median_count,mean_alpha,median_alpha"
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -71,43 +63,25 @@ _TRAIN_TUNABLES = {
     f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
     for f in fields(models.TrainConfig)
 }
+_EPS_D = {"eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M)}
+_SYNTH = synth.SynthConfig()
 
-# dest -> (caster, default); None default means the flag is optional with no value.
+# subcommand -> dest -> (caster, default): its tunables, each a flag and a config
+# key, in flag order. A None default means the flag is optional with no value.
 _TUNABLES: dict[str, dict[str, tuple]] = {
-    "train": {
-        **_TRAIN_TUNABLES,
-        "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
-        "kind": (str, models.KIND_EDGE),
-    },
-    "crossval": {
-        **_TRAIN_TUNABLES,
-        "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
-        "folds": (int, 5),
-        "kinds": (str, ",".join(models.MODEL_KINDS)),
-        "seed": (int, 0),
-    },
-    "detect": {
-        "delta_quantile": (float, anomaly.DetectConfig.delta_quantile),
-        "delta_override": (float, anomaly.DetectConfig.delta_override),
-        "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
-    },
-    "localize": {},
-    "infer-routes": {
-        "eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M),
-    },
     "simulate": {
-        "services": (int, 4),
-        "stops": (int, 8),
-        "shared_corridor": (int, 0),
-        "seg_len_min": (float, 400.0),
-        "seg_len_max": (float, 1600.0),
-        "speed_min": (float, 4.0),
-        "speed_max": (float, 16.0),
-        "n_records": (int, 2000),
-        "noise_sigma2": (float, 0.05),
-        "seed": (int, 0),
-        "day_start": (float, 0.0),
-        "day_seconds": (float, 86400.0),
+        "services": (int, _SYNTH.n_services),
+        "stops": (int, _SYNTH.stops_per_service),
+        "shared_corridor": (int, _SYNTH.shared_corridor_stops),
+        "seg_len_min": (float, _SYNTH.segment_length_range_m[0]),
+        "seg_len_max": (float, _SYNTH.segment_length_range_m[1]),
+        "speed_min": (float, _SYNTH.speed_range_mps[0]),
+        "speed_max": (float, _SYNTH.speed_range_mps[1]),
+        "n_records": (int, _SYNTH.n_records),
+        "noise_sigma2": (float, _SYNTH.noise_sigma2),
+        "seed": (int, _SYNTH.seed),
+        "day_start": (float, _SYNTH.day_start_s),
+        "day_seconds": (float, _SYNTH.day_seconds),
         "congest_index": (int, None),
         "congest_from": (str, None),
         "congest_to": (str, None),
@@ -115,6 +89,34 @@ _TUNABLES: dict[str, dict[str, tuple]] = {
         "congest_end": (float, None),
         "congest_factor": (float, None),
     },
+    "infer-routes": _EPS_D,
+    "train": {"kind": (str, models.KIND_EDGE), **_TRAIN_TUNABLES, **_EPS_D},
+    "crossval": {
+        "folds": (int, 5),
+        "kinds": (str, ",".join(models.MODEL_KINDS)),
+        "seed": (int, 0),
+        **_TRAIN_TUNABLES,
+        **_EPS_D,
+    },
+    "detect": {
+        "delta_quantile": (float, anomaly.DetectConfig.delta_quantile),
+        "delta_override": (float, anomaly.DetectConfig.delta_override),
+        **_EPS_D,
+    },
+    "localize": {},
+}
+
+# Help text of the flags that have one; a tunable's also names its default.
+_HELP = {
+    "out_sse": "epoch,sse rows: one per epoch for smoothed-edge, one for the closed-form kinds",
+    "kind": f"one of {', '.join(models.MODEL_KINDS)}",
+    "eta": "step size",
+    "tau": "log-barrier strength",
+    "psi": "smoothing strength",
+    "epochs": "passes over the records",
+    "c_min": "speed floor after each step",
+    "shuffle_seed": "seed of each epoch's record order",
+    "variance_refresh": "keep the first sigma2 instead of re-estimating it each epoch",
 }
 
 
@@ -124,13 +126,13 @@ def _apply_config(args: argparse.Namespace) -> None:
     One file may serve several subcommands, so a key is rejected only when no
     subcommand knows it.
     """
-    table = _TUNABLES.get(args.command, {})
+    table = _TUNABLES[args.command]
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values).difference(*_TUNABLES.values()))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for dest, (caster, default) in table.items():
-        if getattr(args, dest, None) is not None:
+        if getattr(args, dest) is not None:
             continue
         if dest in file_values:
             setattr(args, dest, caster(file_values[dest]))
@@ -138,9 +140,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, dest, default)
 
 
-def _require(args: argparse.Namespace, *dests: str) -> None:
-    for dest in dests:
-        if getattr(args, dest, None) is None:
+def _require_files(args: argparse.Namespace) -> None:
+    for dest in _SUBCOMMANDS[args.command][2]:
+        if getattr(args, dest) is None and dest != "out_sse":  # the one optional file
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} is required for {args.command}")
 
@@ -152,40 +154,8 @@ def _print_rejects(rejects: Sequence[recordio.RejectedRow]) -> None:
         print(f"parse_rejected={len(rejects)}", file=sys.stderr)
 
 
-def _write_routes(routes: Sequence[ServiceRoute], path: str) -> None:
-    lines = [ROUTES_HEADER]
-    for route in sorted(routes, key=lambda r: r.service_id):
-        for seq, (stop, cum) in enumerate(zip(route.stops, route.cumulative_m)):
-            lines.append(f"{route.service_id},{seq},{stop},{_fmt(cum)}")
-    write_lines(path, lines)
-
-
-def _load_routes(path: str) -> list[ServiceRoute]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != ROUTES_HEADER:
-        raise ValueError(f"bad routes header in {path!r}")
-    acc: dict[str, list[tuple[int, str, float]]] = {}
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        service_id, seq, stop, cum = ln.split(",")
-        acc.setdefault(service_id, []).append((int(seq), stop, float(cum)))
-    routes = []
-    for service_id in sorted(acc):
-        rows = sorted(acc[service_id])
-        routes.append(
-            ServiceRoute(
-                service_id,
-                tuple(stop for _, stop, _ in rows),
-                tuple(cum for _, _, cum in rows),
-            )
-        )
-    return routes
-
-
 def _network_from(args: argparse.Namespace) -> NetworkGraph:
-    return build_network(_load_routes(args.routes), eps_d=args.eps_d)
+    return build_network(recordio.read_routes(args.routes), eps_d=args.eps_d)
 
 
 def _load_table(
@@ -228,7 +198,6 @@ def _train_config(args: argparse.Namespace) -> models.TrainConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require(args, "out_records", "out_truth")
     cfg = synth.SynthConfig(
         n_services=args.services,
         stops_per_service=args.stops,
@@ -236,7 +205,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         speed_range_mps=(args.speed_min, args.speed_max),
         n_records=args.n_records,
         noise_sigma2=args.noise_sigma2,
-        congestion=None,
         seed=args.seed,
         shared_corridor_stops=args.shared_corridor,
         day_start_s=args.day_start,
@@ -286,16 +254,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer_routes(args: argparse.Namespace) -> int:
-    _require(args, "records", "out_routes", "out_rejects")
     table, parse_rejects = recordio.read_table(args.records)
     _print_rejects(parse_rejects)
     outcome = routeinfer.infer_all_routes(table, eps_d=args.eps_d)
-    _write_routes(list(outcome.accepted.values()), args.out_routes)
-    with open(args.out_rejects, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["service_id", "reason"])
-        for service_id in sorted(outcome.rejected):
-            writer.writerow([service_id, outcome.rejected[service_id]])
+    recordio.write_routes(outcome.accepted.values(), args.out_routes)
+    recordio.write_route_rejects(outcome.rejected, args.out_rejects)
     print(
         f"accepted={len(outcome.accepted)} rejected={len(outcome.rejected)} "
         f"parse_rejected={len(parse_rejects)}"
@@ -304,7 +267,6 @@ def _cmd_infer_routes(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _require(args, "records", "routes", "out_model")
     if args.kind not in models.MODEL_KINDS:
         raise ValueError(
             f"unknown kind {args.kind!r}; expected one of {', '.join(models.MODEL_KINDS)}"
@@ -345,7 +307,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
-    _require(args, "records", "routes", "out")
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     cfg = _train_config(args)
     network = _network_from(args)
@@ -364,7 +325,6 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _require(args, "records", "routes", "model", "out")
     network = _network_from(args)
     model = models.load_model(args.model)
     table, rows, cols = _load_table(network, args.records, args.eps_d)
@@ -375,124 +335,72 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         delta_quantile=args.delta_quantile, delta_override=args.delta_override
     )
     delta = anomaly._cutoff(alphas, cfg)
-    keys = [",".join(key) for key in table.keys]
-    lines = [f"# delta={_fmt(delta)}", SCORED_HEADER]
-    significant = 0
-    for i, observed, expect, alpha in zip(rows, cols.observed, expected, alphas):
-        flag = 1 if alpha > delta else 0  # per row: two rows may share a record id
-        significant += flag
-        lines.append(
-            f"{table.record_ids[i]},{keys[table.key_of[i]]},"
-            f"{_fmt(table.t_start[i])},{_fmt(table.t_end[i])},{_fmt(observed)},"
-            f"{_fmt(expect)},{_fmt(alpha)},{flag}"
-        )
-    write_lines(args.out, lines)
+    recordio.write_scored(table, rows, cols.observed, expected, alphas, delta, args.out)
+    significant = sum(alpha > delta for alpha in alphas)
     print(f"scored={len(rows)} significant={significant} delta={_fmt(delta)}")
     return 0
 
 
 def _load_scored(path: str, network: NetworkGraph) -> list[anomaly.ScoredRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0] != SCORED_HEADER:
-        raise ValueError(f"bad scored-file header in {path!r}")
+    """The significant rows of a scored file, each on its path in the network."""
     out = []
-    for ln in body[1:]:
-        parts = ln.split(",")
-        if len(parts) != 10:
-            raise ValueError(f"bad scored row: {ln!r}")
-        if parts[9] != "1":
-            continue
-        path_obj = resolve_path(network, parts[1], parts[2], parts[3])
-        record = FlowRecord(
-            record_id=parts[0],
-            service_id=parts[1],
-            origin=parts[2],
-            destination=parts[3],
-            t_start=float(parts[4]),
-            t_end=float(parts[5]),
-            distance_m=path_obj.distance_m,
-        )
-        out.append(
-            anomaly.ScoredRecord(
-                record=record,
-                path=path_obj,
-                alpha=float(parts[8]),
-                expected_s=float(parts[7]),
-            )
-        )
+    for *row, expected_s, alpha in recordio.read_significant(path):
+        found = resolve_path(network, *row[1:4])
+        record = FlowRecord(*row, found.distance_m)
+        out.append(anomaly.ScoredRecord(record, found, alpha, expected_s))
     return out
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    _require(args, "scored", "routes", "out_report", "out_daily")
-    network = build_network(_load_routes(args.routes))
+    # detect has checked the routes at its eps_d; here segment lengths only label
+    # the report, so build_network keeps the first of each without a conflict check
+    network = build_network(recordio.read_routes(args.routes), eps_d=math.inf)
     filtered = _load_scored(args.scored, network)
     contained = anomaly._contained(filtered)
     counts = anomaly.containment_counts(filtered, contained)
     reports = anomaly.rank_anomalies(filtered, counts, contained)
-    lines = [REPORT_HEADER]
-    labels: dict[Segment, str] = {}
-    windows: dict[tuple[float, float], str] = {}
-    for rank, rep in enumerate(reports, start=1):
-        s, r = rep.scored, rep.scored.record
-        head = (
-            f"{rank},{r.record_id},{_fmt(s.alpha)},{rep.containment_count},"
-            f"{r.origin},{r.destination},{_fmt(r.t_start)},{_fmt(r.t_end)},"
-            f"{_fmt(r.observed_s)},{_fmt(s.expected_s)},|"
-        )
-        grouped: dict[tuple[float, float], list[str]] = {}  # windows in first-seen order
-        for seg, w0, w1 in rep.congested_segments:
-            label = labels.get(seg)
-            if label is None:
-                label = labels[seg] = f"{seg.from_node}>{seg.to_node}@{_fmt(seg.distance_m)}"
-            grouped.setdefault((w0, w1), []).append(label)
-        for key, segs in grouped.items():
-            window = windows.get(key)
-            if window is None:
-                window = f"{_fmt(key[0])},{_fmt(key[1])}"
-                if key[0] and key[1]:  # -0.0 == 0.0 as a key but formats as -0
-                    windows[key] = window
-            lines.append(f"{head}{'|'.join(segs)}|,{window},{rep.provenance}")
-    write_lines(args.out_report, lines)
+    recordio.write_report(reports, args.out_report)
     daily = anomaly.daily_series(reports)
-    daily_lines = [DAILY_HEADER]
-    for row in daily:
-        daily_lines.append(
-            f"{row.date},{_fmt(row.mean_count)},{_fmt(row.median_count)},"
-            f"{_fmt(row.mean_alpha)},{_fmt(row.median_alpha)}"
-        )
-    write_lines(args.out_daily, daily_lines)
+    recordio.write_daily(daily, args.out_daily)
     print(f"reports={len(reports)} days={len(daily)}")
     return 0
 
 
-_TRAIN_HELP = {
-    "eta": "step size",
-    "tau": "log-barrier strength",
-    "psi": "smoothing strength",
-    "epochs": "passes over the records",
-    "c_min": "speed floor after each step",
-    "shuffle_seed": "seed of each epoch's record order",
-    "variance_refresh": "keep the first sigma2 instead of re-estimating it each epoch",
+_SUBCOMMANDS = {  # name -> (function, help, file flags)
+    "simulate": (_cmd_simulate, "generate synthetic records plus a truth sidecar",
+                 ("out_records", "out_truth")),
+    "infer-routes": (_cmd_infer_routes, "reconstruct service routes from records",
+                     ("records", "out_routes", "out_rejects")),
+    "train": (_cmd_train, "fit a travel-time model",
+              ("records", "routes", "out_model", "out_sse")),
+    "crossval": (_cmd_crossval, "k-fold cross validation over model kinds",
+                 ("records", "routes", "out")),
+    "detect": (_cmd_detect, "score records and filter the significant set",
+               ("records", "routes", "model", "out")),
+    "localize": (_cmd_localize, "rank anomalies and localize congested segments",
+                 ("scored", "routes", "out_report", "out_daily")),
 }
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field; a boolean field that defaults on gets --no-<name>."""
-    group = p.add_argument_group(
-        "gradient ascent",
-        "These act on the smoothed-edge kind only; edge is fitted in closed form.",
-    )
-    for dest, (caster, default) in _TRAIN_TUNABLES.items():
+def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
+    """One flag per tunable, TrainConfig's in their own group; a boolean gets --no-<name>."""
+    group = p
+    if not _TRAIN_TUNABLES.keys().isdisjoint(table):
+        group = p.add_argument_group(
+            "gradient ascent",
+            "These act on the smoothed-edge kind only; edge is fitted in closed form.",
+        )
+    for dest, (caster, default) in table.items():
+        target = group if dest in _TRAIN_TUNABLES else p
         flag = dest.replace("_", "-")
+        help_text = _HELP.get(dest)
         if caster is _parse_bool:
-            group.add_argument(f"--no-{flag}", dest=dest, action="store_const",
-                               const=not default, help=_TRAIN_HELP[dest])
+            target.add_argument(f"--no-{flag}", dest=dest, action="store_const",
+                                const=not default, help=help_text)
         else:
-            group.add_argument(f"--{flag}", type=caster,
-                               help=f"{_TRAIN_HELP[dest]} (default {default})")
+            if help_text is not None:
+                help_text += f" (default {default})"
+            target.add_argument(f"--{flag}", type=caster, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,85 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect and localize flow anomalies from origin/destination records.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate synthetic records plus a truth sidecar")
-    p.add_argument("--out-records")
-    p.add_argument("--out-truth")
-    p.add_argument("--services", type=int)
-    p.add_argument("--stops", type=int)
-    p.add_argument("--shared-corridor", type=int)
-    p.add_argument("--seg-len-min", type=float)
-    p.add_argument("--seg-len-max", type=float)
-    p.add_argument("--speed-min", type=float)
-    p.add_argument("--speed-max", type=float)
-    p.add_argument("--n-records", type=int)
-    p.add_argument("--noise-sigma2", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--day-start", type=float)
-    p.add_argument("--day-seconds", type=float)
-    p.add_argument("--congest-index", type=int)
-    p.add_argument("--congest-from")
-    p.add_argument("--congest-to")
-    p.add_argument("--congest-start", type=float)
-    p.add_argument("--congest-end", type=float)
-    p.add_argument("--congest-factor", type=float)
-
-    p = sub.add_parser("infer-routes", help="reconstruct service routes from records")
-    p.add_argument("--records")
-    p.add_argument("--out-routes")
-    p.add_argument("--out-rejects")
-    p.add_argument("--eps-d", type=float)
-
-    p = sub.add_parser("train", help="fit a travel-time model")
-    p.add_argument("--records")
-    p.add_argument("--routes")
-    p.add_argument("--out-model")
-    p.add_argument("--out-sse", help="epoch,sse rows: one per epoch for smoothed-edge, "
-                                     "one for the closed-form kinds")
-    p.add_argument("--kind", help=f"one of {', '.join(models.MODEL_KINDS)} "
-                                  f"(default {models.KIND_EDGE})")
-    _add_train_flags(p)
-    p.add_argument("--eps-d", type=float)
-
-    p = sub.add_parser("crossval", help="k-fold cross validation over model kinds")
-    p.add_argument("--records")
-    p.add_argument("--routes")
-    p.add_argument("--out")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--kinds")
-    p.add_argument("--seed", type=int)
-    _add_train_flags(p)
-    p.add_argument("--eps-d", type=float)
-
-    p = sub.add_parser("detect", help="score records and filter the significant set")
-    p.add_argument("--records")
-    p.add_argument("--routes")
-    p.add_argument("--model")
-    p.add_argument("--out")
-    p.add_argument("--delta-quantile", type=float)
-    p.add_argument("--delta-override", type=float)
-    p.add_argument("--eps-d", type=float)
-
-    p = sub.add_parser("localize", help="rank anomalies and localize congested segments")
-    p.add_argument("--scored")
-    p.add_argument("--routes")
-    p.add_argument("--out-report")
-    p.add_argument("--out-daily")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", help="key=value file; flags override it")
-
+    for command, (_, help_text, files) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dest in files:
+            p.add_argument("--" + dest.replace("_", "-"), help=_HELP.get(dest))
+        _add_tunables(p, _TUNABLES[command])
+        p.add_argument("--config", help="key=value file; flags override it")
     return parser
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "infer-routes": _cmd_infer_routes,
-    "train": _cmd_train,
-    "crossval": _cmd_crossval,
-    "detect": _cmd_detect,
-    "localize": _cmd_localize,
-}
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
@@ -591,7 +427,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config(args)
-        return _COMMANDS[args.command](args)
+        _require_files(args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (FlowError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,11 @@ compensates from Python 3.12 on, so sums go through left_sum. The same holds for
 a view (kfold's folds): it keeps its records' order and copies their stored
 floats, so its sums add the values a record list would, in the same order.
 
-sgd_epoch's step loop (_steps) repeats _partials's expressions and float
-operation order inline, so a step makes no call and, unsmoothed, builds no list;
-_partials stays the definition that gradient() and the tests read, and
-TestInlineStepMatchesOracle pins the loop to the per-record reference bit for bit.
+sgd_epoch's one step loop (_steps) repeats _partials's expressions and float
+operation order inline, so a step makes no call; with psi = 0 (or unsmoothed) it
+leaves the neighbour terms out, as _partials does. _partials stays the definition
+that gradient() and the tests read, and TestInlineStepMatchesOracle pins the loop
+to the per-record reference bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     NonPositiveVariance,
     SegmentNotOnPath,
 )
-from .recordio import format_float, write_lines
+from .recordio import format_float, read_lines, write_lines
 
 KIND_BASELINE1 = "baseline1"
 KIND_BASELINE2 = "baseline2"
@@ -386,39 +387,28 @@ def _steps(speeds: list[float], cols: _Columns, order: Iterable[int], cfg: Train
                for segs, dists in zip(cols.segs, cols.dists)]
     pairs_of = list(map(by_path.__getitem__, cols.path_of))
     observed, distance = cols.observed, cols.distance
-    if not psi:  # _partials without its neighbour terms, inline (see the module docstring)
-        for k in order:
-            pairs = pairs_of[k]
-            expect = 0.0
-            for i, d in pairs:
-                expect += d / speeds[i]
-            base = (observed[k] - expect) / (distance[k] * sigma2)
-            for i, d in pairs:  # a path's segments are distinct: speeds[i] is pre-step
-                c = speeds[i]
-                updated = c + eta * (-base * d / (c * c) + tau / c)
-                speeds[i] = updated if updated > c_min else c_min
-    else:
-        for k in order:
-            pairs = pairs_of[k]
-            expect = 0.0
-            before = []  # the pre-step speeds, which the neighbour terms read
-            for i, d in pairs:
-                c = speeds[i]
-                before.append(c)
-                expect += d / c
-            base = (observed[k] - expect) / (distance[k] * sigma2)
-            last = len(before) - 1
-            n = 0
-            for i, d in pairs:
-                c = before[n]
-                grad = -base * d / (c * c) + tau / c
-                if n < last:
-                    grad -= psi * (c - before[n + 1])
-                if n:
-                    grad += psi * (before[n - 1] - c)
-                updated = c + eta * grad
-                speeds[i] = updated if updated > c_min else c_min
-                n += 1
+    for k in order:
+        pairs = pairs_of[k]
+        expect = 0.0
+        before = []  # the pre-step speeds, which the neighbour terms read
+        for i, d in pairs:
+            c = speeds[i]
+            before.append(c)
+            expect += d / c
+        base = (observed[k] - expect) / (distance[k] * sigma2)
+        # psi = 0 leaves the neighbour terms out, as _partials does: 0 * inf is nan
+        last = len(before) - 1 if psi else -1
+        n = 0
+        for i, d in pairs:
+            c = before[n]
+            grad = -base * d / (c * c) + tau / c
+            if n < last:
+                grad -= psi * (c - before[n + 1])
+            if 0 < n <= last:
+                grad += psi * (before[n - 1] - c)
+            updated = c + eta * grad
+            speeds[i] = updated if updated > c_min else c_min
+            n += 1
 
 
 def sgd_epoch(
@@ -566,13 +556,12 @@ def save_model(model: Model, dest: str | IO[str]) -> None:
 
 
 def load_model(source: str | IO[str]) -> Model:
-    """Read a model written by save_model."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = source.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
+    """Read a model written by save_model.
+
+    Every speed must be finite and > 0, and sigma2 finite and >= 0, as a fit
+    writes them; any other value is a ValueError naming its line.
+    """
+    lines = [ln for ln in read_lines(source) if ln.strip()]
     if not lines:
         raise ValueError("empty model file")
     head = lines[0].split()
@@ -582,19 +571,24 @@ def load_model(source: str | IO[str]) -> Model:
     sigma2 = float(head[2][len("sigma2=") :])
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if not 0.0 <= sigma2 < math.inf:  # 0 loads, so that detect names it (ZeroVariance)
+        raise ValueError(f"bad model header: {lines[0]!r}: sigma2 must be finite and >= 0")
     globals_seen: list[float] = []
     by_path: dict[str, float] = {}
     by_segment: dict[tuple[NodeId, NodeId], float] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "global" and len(parts) == 2:
-            globals_seen.append(float(parts[1]))
-        elif parts[0] == "path" and len(parts) == 3:
-            by_path[parts[1]] = float(parts[2])
-        elif parts[0] == "seg" and len(parts) == 4:
-            by_segment[(parts[1], parts[2])] = float(parts[3])
-        else:
+        if (parts[0], len(parts)) not in (("global", 2), ("path", 3), ("seg", 4)):
             raise ValueError(f"bad model line: {ln!r}")
+        c = float(parts[-1])
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"bad model line: {ln!r}: speed must be finite and > 0")
+        if parts[0] == "global":
+            globals_seen.append(c)
+        elif parts[0] == "path":
+            by_path[parts[1]] = c
+        else:
+            by_segment[(parts[1], parts[2])] = c
     if kind == KIND_BASELINE1:
         if len(globals_seen) != 1 or by_path or by_segment:
             raise ValueError("baseline1 model needs exactly one global line")

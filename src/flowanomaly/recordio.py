@@ -1,11 +1,16 @@
-"""Reading and writing the delimited record-file format.
+"""The pipeline's file formats: records, routes, route rejects, scored, report and daily.
 
-Rows are `record_id,service_id,board_stop,alight_stop,board_time,alight_time,
-distance_m` with a mandatory header. Times are epoch seconds or ISO-8601 with
-a UTC offset, within years 1-9999 UTC; distances are meters, no longer than
-the Earth's equator. Malformed rows, including non-finite times or distances,
-bytes that are not UTF-8 and fields past the csv module's size limit, are
-skipped and reported with their line numbers, never silently dropped.
+Record rows are `record_id,service_id,board_stop,alight_stop,board_time,
+alight_time,distance_m` with a mandatory header. Times are epoch seconds or
+ISO-8601 with a UTC offset, within years 1-9999 UTC; distances are meters, no
+longer than the Earth's equator. Malformed rows, including non-finite times or
+distances, bytes that are not UTF-8 and fields past the csv module's size limit,
+are skipped and reported with their line numbers, never silently dropped.
+
+The routes, route-reject, scored, report and daily files that infer-routes,
+detect and localize write are here too, each header named after its file; the
+model file lives in models and the truth sidecar in synth. This module imports
+neither models nor anomaly, since models imports it: readers return plain fields.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import count
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .core import FlowRecord, NodeId, check_record
+from .core import FlowRecord, NodeId, Segment, ServiceRoute, check_record
 from .errors import AllRowsRejected, UnreadableInput
+
+if TYPE_CHECKING:
+    from .anomaly import AnomalyReport, DailyStats
 
 RECORD_HEADER = (
     "record_id",
@@ -30,6 +38,16 @@ RECORD_HEADER = (
     "alight_time",
     "distance_m",
 )
+ROUTES_HEADER = "service_id,seq,stop,cumulative_m"
+SCORED_HEADER = (
+    "record_id,service_id,origin,destination,t_start,t_end,"
+    "observed_s,expected_s,alpha,significant"
+)
+REPORT_HEADER = (
+    "rank,record_id,alpha,count,origin,destination,t_start,t_end,"
+    "observed_s,expected_s,segments,window_start,window_end,provenance"
+)
+DAILY_HEADER = "date,mean_count,median_count,mean_alpha,median_alpha"
 
 
 @dataclass(frozen=True)
@@ -218,6 +236,14 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def read_lines(source: str | IO[str]) -> list[str]:
+    """The lines of a UTF-8 file (by path) or of an open text stream, without line ends."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    return source.read().splitlines()
+
+
 def write_lines(dest: str | IO[str], lines: Iterable[str]) -> None:
     """Write each line plus a newline to a path (UTF-8) or an open text stream.
 
@@ -239,5 +265,124 @@ def write_records(records: Iterable[FlowRecord], dest: str | IO[str]) -> None:
             f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
             f"{format_float(r.t_start)},{format_float(r.t_end)},"
             f"{format_float(r.distance_m)}"
+        )
+    write_lines(dest, lines)
+
+
+def write_routes(routes: Iterable[ServiceRoute], dest: str | IO[str]) -> None:
+    """One row per stop of each route (services in id order), as read_routes reads them."""
+    lines = [ROUTES_HEADER]
+    for route in sorted(routes, key=lambda r: r.service_id):
+        for seq, (stop, cum) in enumerate(zip(route.stops, route.cumulative_m)):
+            lines.append(f"{route.service_id},{seq},{stop},{format_float(cum)}")
+    write_lines(dest, lines)
+
+
+def read_routes(path: str) -> list[ServiceRoute]:
+    """The routes of a routes file in service-id order, each one's stops in seq order."""
+    lines = read_lines(path)
+    if not lines or lines[0] != ROUTES_HEADER:
+        raise ValueError(f"bad routes header in {path!r}")
+    acc: dict[str, list[tuple[int, str, float]]] = {}
+    for ln in lines[1:]:
+        if not ln.strip():
+            continue
+        service_id, seq, stop, cum = ln.split(",")
+        acc.setdefault(service_id, []).append((int(seq), stop, float(cum)))
+    routes = []
+    for service_id in sorted(acc):
+        rows = sorted(acc[service_id])
+        routes.append(
+            ServiceRoute(
+                service_id,
+                tuple(stop for _, stop, _ in rows),
+                tuple(cum for _, _, cum in rows),
+            )
+        )
+    return routes
+
+
+def write_route_rejects(rejected: Mapping[str, str], dest: str) -> None:
+    """service_id,reason rows in service-id order; csv quotes a reason that holds a comma."""
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["service_id", "reason"])
+        for service_id in sorted(rejected):
+            writer.writerow([service_id, rejected[service_id]])
+
+
+def write_scored(table: RecordTable, rows: Sequence[int], observed: Iterable[float],
+                 expected: Iterable[float], alphas: Iterable[float], delta: float,
+                 dest: str | IO[str]) -> None:
+    """The scored table rows, in order, with their times and ratios, flagged when alpha > delta.
+
+    The flag is per row, since two rows may share a record id.
+    """
+    f = format_float
+    keys = [",".join(key) for key in table.keys]
+    lines = [f"# delta={f(delta)}", SCORED_HEADER]
+    for i, t, expect, alpha in zip(rows, observed, expected, alphas):
+        lines.append(
+            f"{table.record_ids[i]},{keys[table.key_of[i]]},"
+            f"{f(table.t_start[i])},{f(table.t_end[i])},{f(t)},"
+            f"{f(expect)},{f(alpha)},{1 if alpha > delta else 0}"
+        )
+    write_lines(dest, lines)
+
+
+def read_significant(
+    path: str,
+) -> Iterator[tuple[str, str, NodeId, NodeId, float, float, float, float]]:
+    """The significant rows of a scored file, each parsed when reached, as (record_id,
+    service_id, origin, destination, t_start, t_end, expected_s, alpha)."""
+    body = [ln for ln in read_lines(path) if ln and not ln.startswith("#")]
+    if not body or body[0] != SCORED_HEADER:
+        raise ValueError(f"bad scored-file header in {path!r}")
+    for ln in body[1:]:
+        parts = ln.split(",")
+        if len(parts) != 10:
+            raise ValueError(f"bad scored row: {ln!r}")
+        if parts[9] == "1":
+            yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
+                   float(parts[8]))
+
+
+def write_report(reports: Sequence[AnomalyReport], dest: str | IO[str]) -> None:
+    """One row per report and window, its segments `|from>to@length|...|` in first-seen order."""
+    f = format_float
+    lines = [REPORT_HEADER]
+    labels: dict[Segment, str] = {}
+    windows: dict[tuple[float, float], str] = {}
+    for rank, rep in enumerate(reports, start=1):
+        s, r = rep.scored, rep.scored.record
+        head = (
+            f"{rank},{r.record_id},{f(s.alpha)},{rep.containment_count},"
+            f"{r.origin},{r.destination},{f(r.t_start)},{f(r.t_end)},"
+            f"{f(r.observed_s)},{f(s.expected_s)},|"
+        )
+        grouped: dict[tuple[float, float], list[str]] = {}  # windows in first-seen order
+        for seg, w0, w1 in rep.congested_segments:
+            label = labels.get(seg)
+            if label is None:
+                label = labels[seg] = f"{seg.from_node}>{seg.to_node}@{f(seg.distance_m)}"
+            grouped.setdefault((w0, w1), []).append(label)
+        for key, segs in grouped.items():
+            window = windows.get(key)
+            if window is None:
+                window = f"{f(key[0])},{f(key[1])}"
+                if key[0] and key[1]:  # -0.0 == 0.0 as a key but formats as -0
+                    windows[key] = window
+            lines.append(f"{head}{'|'.join(segs)}|,{window},{rep.provenance}")
+    write_lines(dest, lines)
+
+
+def write_daily(daily: Iterable[DailyStats], dest: str | IO[str]) -> None:
+    """One row per date with the mean and median containment count and ratio."""
+    f = format_float
+    lines = [DAILY_HEADER]
+    for row in daily:
+        lines.append(
+            f"{row.date},{f(row.mean_count)},{f(row.median_count)},"
+            f"{f(row.mean_alpha)},{f(row.median_alpha)}"
         )
     write_lines(dest, lines)

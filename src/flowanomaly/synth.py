@@ -213,22 +213,3 @@ def write_truth(truth: SynthTruth, dest: str | IO[str]) -> None:
         lines.append(",".join(row))
     write_lines(dest, lines)
 
-
-def load_truth(source: str) -> tuple[dict[tuple[str, str], float], PlantedCongestion | None]:
-    """Read a truth sidecar back into (speeds, congestion)."""
-    with open(source, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    speeds: dict[tuple[str, str], float] = {}
-    congestion = None
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        speeds[(parts[0], parts[1])] = float(parts[2])
-        if parts[3]:
-            congestion = PlantedCongestion(
-                from_node=parts[0],
-                to_node=parts[1],
-                window_start=float(parts[3]),
-                window_end=float(parts[4]),
-                slowdown_factor=float(parts[5]),
-            )
-    return speeds, congestion

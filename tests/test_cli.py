@@ -7,10 +7,16 @@ import pytest
 
 import flowanomaly
 from flowanomaly import anomaly, cli, evaluation, models
-from flowanomaly.cli import REPORT_HEADER, SCORED_HEADER, run_command
+from flowanomaly.cli import run_command
 from flowanomaly.models import expected_time, load_model
 from flowanomaly.core import build_network, resolve_path
-from flowanomaly.recordio import format_float, parse_records
+from flowanomaly.recordio import (
+    REPORT_HEADER,
+    SCORED_HEADER,
+    format_float,
+    parse_records,
+    read_routes,
+)
 
 
 def run(*argv):
@@ -384,8 +390,7 @@ class TestPipeline:
         model = load_model(str(model_path))
         assert model.smoothed is True
         records, _ = parse_records(str(rec_path))
-        from flowanomaly.cli import _load_routes
-        net = build_network(_load_routes(str(routes)))
+        net = build_network(read_routes(str(routes)))
         r = records[0]
         path = resolve_path(net, r.service_id, r.origin, r.destination)
         t1 = expected_time(model, path, r.distance_m)
@@ -429,6 +434,58 @@ class TestPipeline:
         assert len(report_path.read_text().splitlines()) == 1  # header only
         assert len(daily_path.read_text().splitlines()) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_localize_takes_the_routes_detect_took(self, tmp_path, capsys, via_config):
+        # segment A>B is 1000 m on s1 and 1003 m on s2: within eps_d 5, beyond 1 m
+        rec = tmp_path / "two.csv"
+        rec.write_text(
+            "record_id,service_id,board_stop,alight_stop,board_time,alight_time,distance_m\n"
+            "r1,s1,A,B,0,100,1000\nr2,s1,B,C,200,300,1000\nr3,s1,A,C,400,600,2000\n"
+            "r4,s2,A,B,0,110,1003\nr5,s2,B,D,200,300,1000\nr6,s2,A,D,400,610,2003\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("eps_d=5\n")
+        tol = ["--config", str(cfg)] if via_config else ["--eps-d", "5"]
+        routes, model = tmp_path / "routes.csv", tmp_path / "m.txt"
+        scored, report = tmp_path / "scored.csv", tmp_path / "report.csv"
+        assert run("infer-routes", "--records", str(rec), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv"), *tol) == 0
+        assert run("train", "--records", str(rec), "--routes", str(routes), "--kind",
+                   "baseline1", "--out-model", str(model), *tol) == 0
+        assert run("detect", "--records", str(rec), "--routes", str(routes), "--model",
+                   str(model), "--out", str(scored), "--delta-quantile", "0.5", *tol) == 0
+        tail = tol if via_config else []
+        assert run("localize", "--scored", str(scored), "--routes", str(routes),
+                   "--out-report", str(report), "--out-daily", str(tmp_path / "d.csv"),
+                   *tail) == 0
+        assert capsys.readouterr().err == ""
+        labels = {label for row in report.read_text().splitlines()[1:]
+                  for label in row.split(",")[10].strip("|").split("|")}
+        # the first distance in service-id order, as in detect's network
+        assert labels == {"A>B@1000", "B>D@1000"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-3", "0", "sigma2=nan", "sigma2=0"])
+    def test_detect_rejects_model_values_no_fit_writes(self, tmp_path, capsys, value):
+        rec_path, _ = simulate_small(tmp_path, seed=3)
+        routes, model = tmp_path / "routes.csv", tmp_path / "m.txt"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--out-model", str(model)) == 0
+        lines = model.read_text().splitlines()
+        n = 0 if value.startswith("sigma2=") else 1
+        lines[n] = f"{lines[n].rsplit(' ', 1)[0]} {value}"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("detect", "--records", str(rec_path), "--routes", str(routes),
+                   "--model", str(model), "--out", str(tmp_path / "s.csv")) == 2
+        if value == "sigma2=0":  # a perfect fit's model loads; detect names its sigma2
+            want = "sigma = 0: ratios are undefined (degenerate training)"
+        elif n == 0:
+            want = f"bad model header: {lines[0]!r}: sigma2 must be finite and >= 0"
+        else:
+            want = f"bad model line: {lines[1]!r}: speed must be finite and > 0"
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     def test_flag_overrides_config(self, tmp_path):
         rec_path, _ = simulate_small(tmp_path, seed=2)
@@ -481,7 +538,7 @@ class TestReportWriterMatchesLoop:
         report = tmp_path / "report.csv"
         assert run("localize", "--scored", str(scored), "--routes", str(routes),
                    "--out-report", str(report), "--out-daily", str(tmp_path / "daily.csv")) == 0
-        network = build_network(cli._load_routes(str(routes)))
+        network = build_network(read_routes(str(routes)))
         filtered = cli._load_scored(str(scored), network)
         contained = anomaly._contained(filtered)
         counts = anomaly.containment_counts(filtered, contained)

@@ -31,7 +31,14 @@ from flowanomaly.models import (
     load_model,
     train_edge_model,
 )
-from flowanomaly.recordio import RECORD_HEADER, format_float, parse_records, read_table
+from flowanomaly.recordio import (
+    RECORD_HEADER,
+    SCORED_HEADER,
+    format_float,
+    parse_records,
+    read_routes,
+    read_table,
+)
 from flowanomaly.routeinfer import collect_evidence
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
@@ -277,7 +284,7 @@ class TestDetectMatchesScore:
                                 "--model", str(model_path), "--out", str(scored),
                                 "--delta-quantile", "0.05"]) == 0
         capsys.readouterr()
-        network = cli.build_network(cli._load_routes(str(routes)))
+        network = cli.build_network(read_routes(str(routes)))
         records, _ = parse_records(str(rec_path))
         kept = []
         for r in records:
@@ -290,7 +297,7 @@ class TestDetectMatchesScore:
         rows = score(load_model(str(model_path)), kept, network)
         _, delta = filter_significant(rows, DetectConfig(delta_quantile=0.05))
         f = format_float
-        want = [f"# delta={f(delta)}", cli.SCORED_HEADER] + [
+        want = [f"# delta={f(delta)}", SCORED_HEADER] + [
             f"{s.record.record_id},{s.record.service_id},{s.record.origin},"
             f"{s.record.destination},{f(s.record.t_start)},{f(s.record.t_end)},"
             f"{f(s.record.observed_s)},{f(s.expected_s)},{f(s.alpha)},"
@@ -315,7 +322,7 @@ def test_localize_builds_the_containment_index_once(tmp_path, capsys):
     assert spy.call_count == 1
     capsys.readouterr()
     # the index handed in gives the reports that each call building its own gives
-    filtered = cli._load_scored(str(scored), cli.build_network(cli._load_routes(str(routes))))
+    filtered = cli._load_scored(str(scored), cli.build_network(read_routes(str(routes))))
     contained = anomaly._contained(filtered)
     counts = anomaly.containment_counts(filtered)
     assert sum(map(len, contained)) > 0

@@ -639,6 +639,23 @@ class TestInlineStepMatchesOracle:
         if not found:  # a correctly rounded libm pow gives c ** 2 == c * c throughout
             pytest.skip("no drawn speed whose one step tells c ** 2 from c * c")
 
+    @pytest.mark.parametrize("smoothed, psi", [(False, 0.05), (True, 0.0), (True, 0.05)])
+    def test_overflowing_step(self, smoothed, psi):
+        # eta 1e308 steps a speed to inf; with psi = 0 the neighbour terms stay out
+        # (psi * (inf - c) is nan), so an inf speed stays inf as in _partials
+        net, records = random_corridor(2)
+        paths = resolve_paths(net, records)
+        cfg = TrainConfig(eta=1e308, tau=1e-3, psi=psi, shuffle_seed=3)
+        want = init_edge_model(net, records, cfg, smoothed=smoothed)
+        got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
+        inf_speeds = 0
+        for epoch in range(2):
+            want, want_sse, _ = oracle_sgd_epoch(want, records, paths, cfg, epoch)
+            got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+            assert float_state(got, got_sse) == float_state(want, want_sse)
+            inf_speeds += sum(c == math.inf for c in got.c_by_segment.values())
+        assert inf_speeds > 0
+
     def test_train_edge_model_passes_record_paths_third(self):
         net, records = random_corridor(1)
         cfg = TrainConfig(eta=0.01, epochs=2)
@@ -757,3 +774,29 @@ class TestPersistence:
         text = "model baseline1 sigma2=1\nseg a b 3\n"
         with pytest.raises(ValueError):
             load_model(io.StringIO(text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-3", "0", "-0"])
+    @pytest.mark.parametrize("kind, line", [
+        ("baseline1", "global {}"),
+        ("baseline2", "path a>b {}"),
+        ("edge", "seg a b {}"),
+    ])
+    def test_speed_that_no_fit_writes_rejected(self, value, kind, line):
+        # a nan speed scored every record nan, inf or -3 gave times of 0 or -333 s
+        body = {"baseline1": "", "baseline2": "global 5\n", "edge": "seg b c 5\n"}[kind]
+        bad = line.format(value)
+        text = f"model {kind} sigma2=1\n{body}{bad}\n"
+        with pytest.raises(ValueError, match=rf"^bad model line: '{bad}': speed must be finite"):
+            load_model(io.StringIO(text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-5e-324"])
+    def test_sigma2_that_no_fit_writes_rejected(self, value):
+        text = f"model baseline1 sigma2={value}\nglobal 5\n"
+        with pytest.raises(ValueError, match=r"sigma2 must be finite and >= 0"):
+            load_model(io.StringIO(text))
+
+    def test_zero_sigma2_and_tiny_speeds_load(self):
+        # a perfect fit writes sigma2=0; detect names it as a ZeroVariance error
+        m = load_model(io.StringIO("model edge sigma2=0\nseg a b 5e-324\nseg b c 1e308\n"))
+        assert m.sigma2 == 0.0
+        assert m.c_by_segment == {("a", "b"): 5e-324, ("b", "c"): 1e308}

@@ -12,7 +12,6 @@ from flowanomaly.synth import (
     _congested_base_time,
     generate_network,
     generate_records,
-    load_truth,
     write_truth,
 )
 
@@ -157,6 +156,26 @@ class TestPiecewiseCongestion:
 
     def test_entry_after_window_is_normal(self):
         assert _congested_base_time(100.0, 1.0, 200.0, self.CONG) == 100.0
+
+
+def load_truth(source):
+    """Read a truth sidecar back into (speeds, congestion)."""
+    with open(source, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    speeds = {}
+    congestion = None
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        speeds[(parts[0], parts[1])] = float(parts[2])
+        if parts[3]:
+            congestion = PlantedCongestion(
+                from_node=parts[0],
+                to_node=parts[1],
+                window_start=float(parts[3]),
+                window_end=float(parts[4]),
+                slowdown_factor=float(parts[5]),
+            )
+    return speeds, congestion
 
 
 class TestTruthSidecar:
