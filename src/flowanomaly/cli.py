@@ -59,10 +59,12 @@ def _parse_bool(text: str) -> bool:
 
 
 # TrainConfig's fields as flags and config keys, cast by the type of their default.
+# Only psi reaches a fit; the others are the ascent's, which no subcommand runs.
 _TRAIN_TUNABLES = {
     f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
     for f in fields(models.TrainConfig)
 }
+_ASCENT_ONLY = _TRAIN_TUNABLES.keys() - {"psi"}
 _EPS_D = {"eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M)}
 _SYNTH = synth.SynthConfig()
 
@@ -108,11 +110,11 @@ _TUNABLES: dict[str, dict[str, tuple]] = {
 
 # Help text of the flags that have one; a tunable's also names its default.
 _HELP = {
-    "out_sse": "epoch,sse rows: one per epoch for smoothed-edge, one for the closed-form kinds",
+    "out_sse": "epoch,sse: one row, the fit's sum of squared residuals",
     "kind": f"one of {', '.join(models.MODEL_KINDS)}",
     "eta": "step size",
     "tau": "log-barrier strength",
-    "psi": "smoothing strength",
+    "psi": "smoothed-edge's penalty on speed differences of consecutive segments",
     "epochs": "passes over the records",
     "c_min": "speed floor after each step",
     "shuffle_seed": "seed of each epoch's record order",
@@ -271,37 +273,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown kind {args.kind!r}; expected one of {', '.join(models.MODEL_KINDS)}"
         )
-    cfg = _train_config(args)
+    cfg = _train_config(args)  # validates the ascent's flags too, though no kind reads them
     network = _network_from(args)
     _, _, cols = _load_table(network, args.records, args.eps_d)
     if not cols:
         raise ValueError("no usable records after validation")
+    sse = None  # a closed-form edge fit has its own; a baseline's is summed when asked for
     if args.kind == models.KIND_BASELINE1:
         model: models.Model = models.fit_baseline1(cols)
-        sse_rows = None
     elif args.kind == models.KIND_BASELINE2:
         model = models.fit_baseline2(cols)
-        sse_rows = None
     else:
-        if args.kind == models.KIND_EDGE:
-            model, trail = models.fit_edge_model(network, cols)
-            reported = ("untraversed", "unidentifiable", "nonpositive")
-        else:
-            model, trail = models.train_edge_model(network, cols, cfg, smoothed=True)
-            reported = ("untraversed",)
-        sse_rows = trail.sse_by_epoch
-        for name in reported:
+        smoothed = args.kind == models.KIND_SMOOTHED
+        model, trail = models.fit_edge_model(network, cols, psi=cfg.psi if smoothed else 0.0)
+        model.smoothed = smoothed
+        [sse] = trail.sse_by_epoch
+        for name in ("untraversed", "unidentifiable", "nonpositive"):
             keys = getattr(trail, name)
             print(f"{name}_segments={len(keys)}")
             for frm, to in keys:
                 print(f"{name} {frm} {to}")
     models.save_model(model, args.out_model)
     if args.out_sse:
-        if sse_rows is None:
-            sse_rows = [models.sse(model, cols)]
-        lines = ["epoch,sse"]
-        lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sse_rows)]
-        write_lines(args.out_sse, lines)
+        sse = models.sse(model, cols) if sse is None else sse
+        write_lines(args.out_sse, ["epoch,sse", f"0,{_fmt(sse)}"])
     print(f"trained kind={args.kind} records={len(cols)} sigma2={_fmt(model.sigma2)}")
     return 0
 
@@ -311,7 +306,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     network = _network_from(args)
     _, _, cols = _load_table(network, args.records, args.eps_d)
-    result = evaluation.kfold(network, cols, args.folds, kinds, cfg, args.seed)
+    result = evaluation.kfold(network, cols, args.folds, kinds, cfg.psi, args.seed)
     lines = ["fold,kind,train_rmse,test_rmse,excluded"]
     for row in result.rows:
         lines.append(
@@ -383,15 +378,16 @@ _SUBCOMMANDS = {  # name -> (function, help, file flags)
 
 
 def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
-    """One flag per tunable, TrainConfig's in their own group; a boolean gets --no-<name>."""
+    """One flag per tunable, the ascent's in their own group; a boolean gets --no-<name>."""
     group = p
-    if not _TRAIN_TUNABLES.keys().isdisjoint(table):
+    if not _ASCENT_ONLY.isdisjoint(table):
         group = p.add_argument_group(
             "gradient ascent",
-            "These act on the smoothed-edge kind only; edge is fitted in closed form.",
+            "No subcommand runs the ascent: every kind is fitted in closed form. These "
+            "flags are still accepted and checked, and change no output.",
         )
     for dest, (caster, default) in table.items():
-        target = group if dest in _TRAIN_TUNABLES else p
+        target = group if dest in _ASCENT_ONLY else p
         flag = dest.replace("_", "-")
         help_text = _HELP.get(dest)
         if caster is _parse_bool:

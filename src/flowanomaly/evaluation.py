@@ -11,18 +11,16 @@ from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
     KIND_BASELINE2,
-    KIND_EDGE,
     KIND_SMOOTHED,
     MODEL_KINDS,
     Model,
     Records,
-    TrainConfig,
     _Columns,
     fit_baseline1,
     fit_baseline2,
     fit_edge_model,
     sse,
-    train_edge_model,
+    train_edge_model,  # noqa: F401 - perfbench/tracing.py wraps this name here
 )
 
 
@@ -82,16 +80,12 @@ def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
     return FoldSplit(k=k, assignments=assignments, seed=seed)
 
 
-def _fit_kind(kind: str, network: NetworkGraph, cols: _Columns, cfg: TrainConfig) -> Model:
+def _fit_kind(kind: str, network: NetworkGraph, cols: _Columns, psi: float) -> Model:
     if kind == KIND_BASELINE1:
         return fit_baseline1(cols)
     if kind == KIND_BASELINE2:
         return fit_baseline2(cols)
-    if kind == KIND_EDGE:
-        return fit_edge_model(network, cols)[0]
-    if kind == KIND_SMOOTHED:
-        return train_edge_model(network, cols, cfg, smoothed=True)[0]
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return fit_edge_model(network, cols, psi=psi if kind == KIND_SMOOTHED else 0.0)[0]
 
 
 def kfold(
@@ -99,10 +93,12 @@ def kfold(
     records: Records,
     k: int,
     model_kinds: Sequence[str],
-    train_cfg: TrainConfig,
+    psi: float,
     seed: int,
 ) -> CrossValResult:
     """Train each model kind on k-1 folds and test on the held-out fold.
+
+    psi is the smoothed-edge kind's smoothing strength (fit_edge_model's).
 
     The same folds are reused for every kind (paired comparison). Test records
     whose path crosses a segment no training record covered are excluded from
@@ -140,7 +136,7 @@ def kfold(
                 "that no training record covers; fewer folds or more records would help"
             )
         for kind in model_kinds:
-            model = _fit_kind(kind, network, train, train_cfg)
+            model = _fit_kind(kind, network, train, psi)
             result.rows.append(
                 TrialRow(
                     fold=fold,

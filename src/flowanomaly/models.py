@@ -1,16 +1,15 @@
 """Travel-time models: global speed, per-path speed, and per-segment speed.
 
 The per-segment model treats each record's time as Gaussian with mean
-sum(d_ij/c_ij) over its path and variance d_r*sigma2. The edge kind is fitted
-in closed form (fit_edge_model): in slowness 1/c the mean is linear, so the
+sum(d_ij/c_ij) over its path and variance d_r*sigma2. Both per-segment kinds are
+fitted in closed form (fit_edge_model): in slowness 1/c the mean is linear, so the
 maximum-likelihood speeds are one weighted least-squares solve, which also
 reports the segments the records cannot separate (unidentifiable) and those
-whose fitted slowness is not positive. The smoothed kind, which also
-penalizes speed differences between consecutive segments of a path, is fitted
-by the paper's stochastic gradient ascent on the log likelihood with a
-log-barrier keeping speeds positive (train_edge_model); TrainConfig and its
-CLI flags act on that ascent only. The ascent without smoothing remains the
-reference that the gradient, convergence and speed-recovery tests exercise.
+whose fitted slowness is not positive; the smoothed kind adds its penalty on
+consecutive segments, linearized, to the same solve. The paper's stochastic
+gradient ascent (train_edge_model, with TrainConfig's knobs) remains the
+reference that the gradient, convergence and speed-recovery tests exercise; no
+subcommand runs it.
 
 Training and residuals run on a columnar view (_Columns) of interned segment
 positions, with one expected time per distinct path. Output stays byte-identical
@@ -20,12 +19,6 @@ left-to-right sum on 699 of 2000 random 1-15-segment paths; sum() of floats
 compensates from Python 3.12 on, so sums go through left_sum. The same holds for
 a view (kfold's folds): it keeps its records' order and copies their stored
 floats, so its sums add the values a record list would, in the same order.
-
-sgd_epoch's one step loop (_steps) repeats _partials's expressions and float
-operation order inline, so a step makes no call; with psi = 0 (or unsmoothed) it
-leaves the neighbour terms out, as _partials does. _partials stays the definition
-that gradient() and the tests read, and TestInlineStepMatchesOracle pins the loop
-to the per-record reference bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 from .core import NetworkGraph, FlowRecord, NodeId, Path, Segment, left_sum, resolve_paths
 from .errors import (
@@ -60,11 +53,11 @@ SIGMA2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for stochastic gradient training.
+    """Knobs for the stochastic gradient ascent (train_edge_model).
 
     eta is the step size, tau the log-barrier strength, psi the smoothing
-    strength (only the smoothed model reads it), c_min the hard positivity
-    floor applied after each step.
+    strength (only the smoothed model reads it; the CLI passes it to
+    fit_edge_model), c_min the hard positivity floor applied after each step.
     """
 
     eta: float = 1e-3
@@ -239,7 +232,6 @@ def _partials(
 
     dists and speeds are the path's segment lengths and speeds, base is the
     residual over d_r * sigma2, and psi is 0 unless the model is smoothed.
-    _steps repeats these expressions inline, in the same order.
     """
     grads = []  # a loop, not a comprehension, which CPython 3.11 runs as a call
     for d, c in zip(dists, speeds):
@@ -372,45 +364,6 @@ def estimate_variance(
     return resid_sq / total_d
 
 
-def _steps(speeds: list[float], cols: _Columns, order: Iterable[int], cfg: TrainConfig,
-           sigma2: float, psi: float) -> None:
-    """One ascent step per record in order, on speeds (by position) in place.
-
-    A function of its own, so that its per-record and per-path lists are freed
-    before the epoch's residual pass, where training peaks in memory.
-    """
-    eta, tau, c_min = cfg.eta, cfg.tau, cfg.c_min
-    # lists of one shared (position, distance) tuple per segment: a tuple per pair
-    # would leave about 100 KiB of 2-tuples in CPython's free list after the epoch
-    shared: dict[tuple[int, float], tuple[int, float]] = {}
-    by_path = [[shared.setdefault(pair, pair) for pair in zip(segs, dists)]
-               for segs, dists in zip(cols.segs, cols.dists)]
-    pairs_of = list(map(by_path.__getitem__, cols.path_of))
-    observed, distance = cols.observed, cols.distance
-    for k in order:
-        pairs = pairs_of[k]
-        expect = 0.0
-        before = []  # the pre-step speeds, which the neighbour terms read
-        for i, d in pairs:
-            c = speeds[i]
-            before.append(c)
-            expect += d / c
-        base = (observed[k] - expect) / (distance[k] * sigma2)
-        # psi = 0 leaves the neighbour terms out, as _partials does: 0 * inf is nan
-        last = len(before) - 1 if psi else -1
-        n = 0
-        for i, d in pairs:
-            c = before[n]
-            grad = -base * d / (c * c) + tau / c
-            if n < last:
-                grad -= psi * (c - before[n + 1])
-            if 0 < n <= last:
-                grad += psi * (before[n - 1] - c)
-            updated = c + eta * grad
-            speeds[i] = updated if updated > c_min else c_min
-            n += 1
-
-
 def sgd_epoch(
     model: EdgeModel,
     records: Records,
@@ -432,13 +385,21 @@ def sgd_epoch(
     cols = _Columns.of(records, paths)
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
-    # a memoryview yields Python ints one at a time, without a list of them all
-    order = memoryview(rng.permutation(len(records))) if model.sigma2 >= SIGMA2_FLOOR else ()
+    order = rng.permutation(len(records)).tolist() if model.sigma2 >= SIGMA2_FLOOR else ()
     try:  # the first gap in key order is the first a record-order pass meets
         speeds = [model.c_by_segment[key] for key in cols.keys]
     except KeyError as exc:
         raise MissingSegmentSpeed(*exc.args[0]) from None
-    _steps(speeds, cols, order, cfg, model.sigma2, cfg.psi if model.smoothed else 0.0)
+    psi = cfg.psi if model.smoothed else 0.0
+    for k in order:
+        j = cols.path_of[k]
+        segs, dists = cols.segs[j], cols.dists[j]
+        before = [speeds[i] for i in segs]
+        expect = left_sum(d / c for d, c in zip(dists, before))
+        base = (cols.observed[k] - expect) / (cols.distance[k] * model.sigma2)
+        for i, c, grad in zip(segs, before, _partials(dists, before, base, cfg.tau, psi)):
+            updated = c + cfg.eta * grad
+            speeds[i] = updated if updated > cfg.c_min else cfg.c_min
     model.c_by_segment.update(zip(cols.keys, speeds))
     resid_sq, total_d = _residual_pass(model, cols)
     if cfg.variance_refresh:
@@ -476,7 +437,7 @@ NULL_COMPONENT_TOL = 1e-6
 
 
 def fit_edge_model(
-    g: NetworkGraph, records: Records, paths: Sequence[Path] | None = None
+    g: NetworkGraph, records: Records, paths: Sequence[Path] | None = None, psi: float = 0.0
 ) -> tuple[EdgeModel, TrainResult]:
     """Maximum-likelihood segment speeds in closed form: weighted least squares in slowness.
 
@@ -498,9 +459,19 @@ def fit_edge_model(
     speed that is not finite) is reported as nonpositive and replaced by the
     global speed; untraversed segments keep the global speed too. sigma2 is the
     residual variance, and sse_by_epoch holds the one fit's SSE.
+
+    psi > 0 (the smoothed kind) adds the paper's psi/2 * (c_i - c_j)^2 per record
+    and consecutive pair i, j of its path, linearized at the global speed c0 as
+    c_i - c_j = c_i c_j (s_j - s_i): in the objective above, -2 sigma2 times the
+    log likelihood, that is mu * n_ij * (s_i - s_j)^2 with mu = psi * sigma2 * c0^4,
+    sigma2 the unsmoothed solve's and n_ij the records crossing the pair. A second
+    solve, of N + mu * L with L the Laplacian of the n_ij, fits it: L s0 = 0, and
+    L's null space (constant along chained segments) meets N's only at 0.
     """
     if not records:
         raise EmptyInput("fit_edge_model needs records")
+    if not 0.0 <= psi < math.inf:
+        raise ValueError("psi must be finite and >= 0")
     if paths is None and not isinstance(records, _Columns):
         paths = resolve_paths(g, records)
     cols = _Columns.of(records, paths)
@@ -510,28 +481,42 @@ def fit_edge_model(
     path_of = np.array(cols.path_of)
     w = np.bincount(path_of, 1.0 / distance)
     u = np.bincount(path_of, np.frombuffer(cols.observed) / distance)
+    crossings = np.bincount(path_of).tolist()  # records per path
     n_seg = len(cols.keys)
     normal, rhs, length = np.zeros((n_seg, n_seg)), np.zeros(n_seg), np.zeros(n_seg)
-    for segs, dists, w_p, u_p in zip(cols.segs, cols.dists, w.tolist(), u.tolist()):
+    pairs = np.zeros((n_seg, n_seg)) if psi else None  # n_ij, for i before j
+    for segs, dists, w_p, u_p, n_p in zip(cols.segs, cols.dists, w.tolist(), u.tolist(),
+                                          crossings):
         i, a = np.array(segs), np.array(dists)  # a path's segments are distinct: no repeats
         normal[i[:, None], i] += (w_p * a)[:, None] * a
         rhs[i] += u_p * a
         length[i] = a
+        if psi:
+            pairs[i[:-1], i[1:]] += n_p
     s0 = 1.0 / base.c
     root = np.sqrt(length)  # y = root * delta: the plain smallest norm in y is the weighted one
-    lam, vec = np.linalg.eigh(normal / np.outer(root, root))
-    null = lam <= lam[-1] * n_seg * np.finfo(float).eps
-    kept = vec[:, ~null]
-    y = kept @ ((kept.T @ ((rhs - normal.sum(axis=1) * s0) / root)) / lam[~null])
-    with np.errstate(divide="ignore"):
-        speed = 1.0 / (s0 + y / root)
-    bad = ~(np.isfinite(speed) & (speed > 0))
-    speeds = dict.fromkeys(g.segments, base.c)
-    speeds.update(zip(cols.keys, np.where(bad, base.c, speed).tolist()))
-    model = EdgeModel(c_by_segment=speeds, sigma2=0.0)
-    resid_sq, total_d = _residual_pass(model, cols)
-    model.sigma2 = resid_sq / total_d
-    unidentifiable = np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL
+    free = (rhs - normal.sum(axis=1) * s0) / root
+
+    def solve(matrix):
+        lam, vec = np.linalg.eigh(matrix / np.outer(root, root))
+        null = lam <= lam[-1] * n_seg * np.finfo(float).eps
+        kept = vec[:, ~null]
+        y = kept @ ((kept.T @ free) / lam[~null])
+        with np.errstate(divide="ignore"):
+            speed = 1.0 / (s0 + y / root)
+        bad = ~(np.isfinite(speed) & (speed > 0))
+        speeds = dict.fromkeys(g.segments, base.c)
+        speeds.update(zip(cols.keys, np.where(bad, base.c, speed).tolist()))
+        model = EdgeModel(c_by_segment=speeds, sigma2=0.0)
+        resid_sq, total_d = _residual_pass(model, cols)
+        model.sigma2 = resid_sq / total_d
+        return model, resid_sq, np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL, bad
+
+    model, resid_sq, unidentifiable, bad = solve(normal)
+    if psi:
+        pairs += pairs.T
+        mu = psi * model.sigma2 * base.c ** 4
+        model, resid_sq, unidentifiable, bad = solve(normal + mu * (np.diag(pairs.sum(1)) - pairs))
     return model, TrainResult(
         sse_by_epoch=[resid_sq],
         untraversed=_untraversed(g, cols),
@@ -559,7 +544,8 @@ def load_model(source: str | IO[str]) -> Model:
     """Read a model written by save_model.
 
     Every speed must be finite and > 0, and sigma2 finite and >= 0, as a fit
-    writes them; any other value is a ValueError naming its line.
+    writes them, and no path or seg key may repeat; anything else is a
+    ValueError naming its line.
     """
     lines = [ln for ln in read_lines(source) if ln.strip()]
     if not lines:
@@ -585,10 +571,11 @@ def load_model(source: str | IO[str]) -> Model:
             raise ValueError(f"bad model line: {ln!r}: speed must be finite and > 0")
         if parts[0] == "global":
             globals_seen.append(c)
-        elif parts[0] == "path":
-            by_path[parts[1]] = c
-        else:
-            by_segment[(parts[1], parts[2])] = c
+            continue
+        table, key = (by_path, parts[1]) if parts[0] == "path" else (by_segment, tuple(parts[1:3]))
+        if key in table:
+            raise ValueError(f"bad model line: {ln!r}: repeats a {parts[0]} key")
+        table[key] = c
     if kind == KIND_BASELINE1:
         if len(globals_seen) != 1 or by_path or by_segment:
             raise ValueError("baseline1 model needs exactly one global line")

@@ -279,7 +279,11 @@ def write_routes(routes: Iterable[ServiceRoute], dest: str | IO[str]) -> None:
 
 
 def read_routes(path: str) -> list[ServiceRoute]:
-    """The routes of a routes file in service-id order, each one's stops in seq order."""
+    """The routes of a routes file in service-id order, each one's stops in seq order.
+
+    Each service's seq must run 0, 1, 2, ... with no gap or repeat, as
+    write_routes writes it; otherwise a ValueError names the service.
+    """
     lines = read_lines(path)
     if not lines or lines[0] != ROUTES_HEADER:
         raise ValueError(f"bad routes header in {path!r}")
@@ -292,6 +296,9 @@ def read_routes(path: str) -> list[ServiceRoute]:
     routes = []
     for service_id in sorted(acc):
         rows = sorted(acc[service_id])
+        if [seq for seq, _, _ in rows] != list(range(len(rows))):
+            raise ValueError(f"service {service_id!r} in {path!r}: seq must run 0, 1, 2, ... "
+                             "with no gap or repeat")
         routes.append(
             ServiceRoute(
                 service_id,

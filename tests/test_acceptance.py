@@ -167,9 +167,7 @@ def test_c04_model_ordering(desk_set):
     """Mean test RMSE: edge < smoothed < baseline2 < baseline1, gap >= 20%."""
     truth, records, _ = desk_set
     t0 = time.monotonic()
-    cfg = TrainConfig(eta=0.002, tau=1e-4, psi=0.005, epochs=120, c_min=0.1,
-                      shuffle_seed=7)
-    result = kfold(truth.network, records, 5, list(MODEL_KINDS), cfg, seed=5)
+    result = kfold(truth.network, records, 5, list(MODEL_KINDS), psi=0.005, seed=5)
     means = {kind: result.mean_test_rmse(kind) for kind in MODEL_KINDS}
     elapsed = time.monotonic() - t0
     gap = 1.0 - means["edge"] / means["baseline1"]

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -119,14 +120,16 @@ class TestValidation:
         assert err.startswith("error:") and "epoch" in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.txt").exists()
-        # a key another subcommand reads stays allowed in a shared file
-        cfg.write_text("epochs=2\ndelta_quantile=0.05\n")
-        sse_path = tmp_path / "sse.csv"
+        # a key another subcommand reads stays allowed in a shared file, and train
+        # still reads its own key there
+        cfg.write_text("psi=0.05\ndelta_quantile=0.05\n")
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
                    "--kind", "smoothed-edge",
-                   "--config", str(cfg), "--out-model", str(tmp_path / "m.txt"),
-                   "--out-sse", str(sse_path)) == 0
-        assert len(sse_path.read_text().splitlines()) == 3
+                   "--config", str(cfg), "--out-model", str(tmp_path / "m.txt")) == 0
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--kind", "smoothed-edge", "--psi", "0.05",
+                   "--out-model", str(tmp_path / "flag.txt")) == 0
+        assert (tmp_path / "m.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
 
     def test_one_inf_distance_row_keeps_its_service(self, tmp_path, capsys):
         self.check_bad_distance_row_is_a_reject(
@@ -198,12 +201,13 @@ class TestValidation:
         def divide(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(models, "train_edge_model", divide)
+        monkeypatch.setattr(models, "fit_edge_model", divide)
         capsys.readouterr()
         code = run("train", "--records", str(rec_path), "--routes", str(routes),
                    "--kind", "smoothed-edge", "--out-model", str(tmp_path / "m.txt"))
         assert code == 2
         assert capsys.readouterr().err == "error: float division by zero\n"
+        assert not (tmp_path / "m.txt").exists()
 
     def test_edge_fit_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         rec_path, _ = simulate_small(tmp_path)
@@ -306,11 +310,23 @@ class TestPipeline:
 
         model_path = tmp_path / "model.txt"
         sse_path = tmp_path / "sse.csv"
+        capsys.readouterr()
         assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "smoothed-edge", "--eta", "0.003", "--epochs", "10",
+                   "--kind", "smoothed-edge", "--psi", "0.01",
                    "--out-model", str(model_path), "--out-sse", str(sse_path)) == 0
-        assert sse_path.read_text().splitlines()[0] == "epoch,sse"
-        assert len(sse_path.read_text().splitlines()) == 11
+        printed = capsys.readouterr().out.splitlines()
+        assert [ln.split("=")[0] for ln in printed if "_segments=" in ln] == [
+            "untraversed_segments", "unidentifiable_segments", "nonpositive_segments"]
+        header, row = sse_path.read_text().splitlines()  # one closed-form fit, one row
+        assert header == "epoch,sse" and row.startswith("0,")
+        records, _ = parse_records(str(rec_path))
+        net = build_network(read_routes(str(routes)))
+        model = load_model(str(model_path))
+        assert model.kind == "smoothed-edge"
+        want = sum((r.observed_s - expected_time(
+            model, resolve_path(net, r.service_id, r.origin, r.destination), r.distance_m)) ** 2
+            for r in records)
+        assert math.isclose(float(row.split(",")[1]), want, rel_tol=1e-9)
 
         scored_path = tmp_path / "scored.csv"
         assert run("detect", "--records", str(rec_path), "--routes", str(routes),
@@ -404,13 +420,15 @@ class TestPipeline:
                    "--out-routes", str(routes),
                    "--out-rejects", str(tmp_path / "rej.csv")) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=4\neta=0.002\n# comment line\n\n")
-        sse_path = tmp_path / "sse.csv"
-        assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "smoothed-edge", "--config", str(cfg),
-                   "--out-model", str(tmp_path / "m.txt"),
-                   "--out-sse", str(sse_path)) == 0
-        assert len(sse_path.read_text().splitlines()) == 5  # header + 4 epochs
+        cfg.write_text("psi=0.05\n# comment line\n\n")
+        models_by = {}
+        for name, extra in (("config", ["--config", str(cfg)]), ("flag", ["--psi", "0.05"]),
+                            ("default", [])):
+            out = tmp_path / f"{name}.txt"
+            assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                       "--kind", "smoothed-edge", "--out-model", str(out), *extra) == 0
+            models_by[name] = out.read_bytes()
+        assert models_by["config"] == models_by["flag"] != models_by["default"]
 
     def test_localize_with_no_significant_rows(self, tmp_path, capsys):
         rec_path, _ = simulate_small(tmp_path, seed=4)
@@ -494,13 +512,37 @@ class TestPipeline:
                    "--out-routes", str(routes),
                    "--out-rejects", str(tmp_path / "rej.csv")) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=4\n")
-        sse_path = tmp_path / "sse.csv"
-        assert run("train", "--records", str(rec_path), "--routes", str(routes),
-                   "--kind", "smoothed-edge", "--config", str(cfg), "--epochs", "2",
-                   "--out-model", str(tmp_path / "m.txt"),
-                   "--out-sse", str(sse_path)) == 0
-        assert len(sse_path.read_text().splitlines()) == 3
+        cfg.write_text("psi=0.05\n")
+        models_by = {}
+        for name, extra in (("both", ["--config", str(cfg), "--psi", "0.2"]),
+                            ("flag", ["--psi", "0.2"]), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.txt"
+            assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                       "--kind", "smoothed-edge", "--out-model", str(out), *extra) == 0
+            models_by[name] = out.read_bytes()
+        assert models_by["both"] == models_by["flag"] != models_by["config"]
+
+    def test_ascent_flags_change_no_output(self, tmp_path, capsys):
+        # accepted and checked, but no subcommand runs the ascent they tune
+        rec_path, _ = simulate_small(tmp_path, seed=6)
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path),
+                   "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        ascent = ["--epochs", "7", "--eta", "0.5", "--tau", "0.1", "--c-min", "0.2",
+                  "--shuffle-seed", "9", "--no-variance-refresh"]
+        runs = []
+        for extra in ([], ascent):
+            capsys.readouterr()
+            tag = "ascent" if extra else "plain"
+            assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                       "--kind", "smoothed-edge", "--out-model", str(tmp_path / f"m_{tag}.txt"),
+                       "--out-sse", str(tmp_path / f"sse_{tag}.csv"), *extra) == 0
+            assert run("crossval", "--records", str(rec_path), "--routes", str(routes),
+                       "--folds", "3", "--out", str(tmp_path / f"cv_{tag}.csv"), *extra) == 0
+            runs.append((capsys.readouterr(), *[(tmp_path / f"{name}_{tag}.{ext}").read_bytes()
+                         for name, ext in (("m", "txt"), ("sse", "csv"), ("cv", "csv"))]))
+        assert runs[0] == runs[1]
 
 
 def oracle_report_lines(reports):

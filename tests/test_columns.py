@@ -23,13 +23,11 @@ from flowanomaly.errors import FlowError
 from flowanomaly.evaluation import TrialRow, kfold, make_folds, rmse
 from flowanomaly.models import (
     MODEL_KINDS,
-    TrainConfig,
     _Columns,
     fit_baseline1,
     fit_baseline2,
     fit_edge_model,
     load_model,
-    train_edge_model,
 )
 from flowanomaly.recordio import (
     RECORD_HEADER,
@@ -187,18 +185,15 @@ def crossval_set(seed=4):
     return network, records
 
 
-def oracle_fit(kind, network, records, paths, cfg):
+def oracle_fit(kind, network, records, paths, psi):
     if kind == "baseline1":
         return fit_baseline1(records)
     if kind == "baseline2":
         return fit_baseline2(records, paths)
-    if kind == "edge":
-        return fit_edge_model(network, records, paths)[0]
-    model, _ = train_edge_model(network, records, cfg, smoothed=True, paths=paths)
-    return model
+    return fit_edge_model(network, records, paths, psi=psi if kind == "smoothed-edge" else 0.0)[0]
 
 
-def oracle_kfold(network, records, k, model_kinds, cfg, seed):
+def oracle_kfold(network, records, k, model_kinds, psi, seed):
     """kfold as it was: record lists copied per fold, each rmse on lists."""
     split = make_folds(records, k, seed)
     paths = resolve_paths(network, records)
@@ -222,7 +217,7 @@ def oracle_kfold(network, records, k, model_kinds, cfg, seed):
             else:
                 excluded += 1
         for kind in model_kinds:
-            model = oracle_fit(kind, network, train_recs, train_paths, cfg)
+            model = oracle_fit(kind, network, train_recs, train_paths, psi)
             rows.append(TrialRow(fold, kind, rmse(model, train_recs, train_paths),
                                  rmse(model, kept_recs, kept_paths), excluded))
     return rows
@@ -232,12 +227,11 @@ class TestKfoldViewsMatchOracle:
     @pytest.mark.parametrize("seed", [4, 9])
     def test_all_kinds_with_an_excluded_record_and_repeated_ids(self, seed):
         network, records = crossval_set(seed)
-        cfg = TrainConfig(eta=2e-3, epochs=2, shuffle_seed=3)
-        want = oracle_kfold(network, records, 3, MODEL_KINDS, cfg, seed=seed)
+        want = oracle_kfold(network, records, 3, MODEL_KINDS, psi=1e-3, seed=seed)
         assert sum(row.excluded for row in want) == len(MODEL_KINDS)  # the lone trip
-        assert kfold(network, records, 3, MODEL_KINDS, cfg, seed=seed).rows == want
+        assert kfold(network, records, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
         cols = _Columns.of(records, resolve_paths(network, records))
-        assert kfold(network, cols, 3, MODEL_KINDS, cfg, seed=seed).rows == want
+        assert kfold(network, cols, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
 
     def test_view_equals_columns_of_its_rows(self):
         network, records = crossval_set()

@@ -1,9 +1,11 @@
 """The closed-form edge fit (models.fit_edge_model) against independent oracles.
 
 The fit is weighted least squares in slowness, solved once from per-path normal
-equations. The oracles: a dense per-record least-squares solve, the c01
-gradient summed over records, the SGD ascent's weighted SSE, hand-built
-networks whose answer is known, and c07's congestion days.
+equations; with psi > 0 (smoothed-edge) a penalty on consecutive segments joins
+them. The oracles: a dense per-record least-squares solve (with penalty rows for
+the smoothed fit), the c01 gradient summed over records, the SGD ascent's
+weighted SSE, hand-built networks whose answer is known, and c07's congestion
+days.
 """
 
 import math
@@ -40,17 +42,33 @@ def corridor_set(seed):
     return truth.network, list(records), resolve_paths(truth.network, records)
 
 
-def dense_wls(records, paths, keys):
-    """Per-record design rows scaled by 1/sqrt(d_r), solved by np.linalg.lstsq."""
+def dense_wls(records, paths, keys, penalty=()):
+    """Per-record design rows scaled by 1/sqrt(d_r), over penalty rows, by np.linalg.lstsq.
+
+    penalty holds (i, j, weight) triples: a row weight * (e_i - e_j) with target 0.
+    """
     col = {key: i for i, key in enumerate(keys)}
-    design = np.zeros((len(records), len(keys)))
+    design = np.zeros((len(records) + len(penalty), len(keys)))
     for row, p in enumerate(paths):
         for seg in p.segments:
-            design[row, col[seg.key]] = seg.distance_m
-    scale = 1.0 / np.sqrt([r.distance_m for r in records])
-    times = np.array([r.observed_s for r in records])
-    slowness, *_ = np.linalg.lstsq(design * scale[:, None], times * scale, rcond=None)
+            design[row, col[seg.key]] = seg.distance_m / math.sqrt(records[row].distance_m)
+    for row, (i, j, weight) in enumerate(penalty, start=len(records)):
+        design[row, col[i]], design[row, col[j]] = weight, -weight
+    times = np.zeros(len(design))
+    times[:len(records)] = [r.observed_s / math.sqrt(r.distance_m) for r in records]
+    slowness, *_ = np.linalg.lstsq(design, times, rcond=None)
     return dict(zip(keys, 1.0 / slowness))
+
+
+def smoothing_rows(network, records, paths, psi):
+    """sqrt(mu * n_ij) per consecutive pair i, j: n_ij records cross it, and
+    mu = psi * sigma2 * c0^4 from the unsmoothed fit's sigma2 and the global speed c0."""
+    crossings = {}
+    for p in paths:
+        for a, b in zip(p.segments, p.segments[1:]):
+            crossings[a.key, b.key] = crossings.get((a.key, b.key), 0) + 1
+    mu = psi * fit_edge_model(network, records, paths)[0].sigma2 * fit_baseline1(records).c ** 4
+    return [(i, j, math.sqrt(mu * n)) for (i, j), n in crossings.items()]
 
 
 def weighted_sse(model, records, paths):
@@ -73,6 +91,47 @@ def test_equals_dense_least_squares(seed):
     assert math.isclose(model.sigma2, result.sse_by_epoch[0]
                         / sum(r.distance_m for r in records), rel_tol=1e-12)
     assert not model.smoothed and model.kind == "edge"
+
+
+@pytest.mark.parametrize("psi", [1e-3, 0.1])
+@pytest.mark.parametrize("seed", range(6))
+def test_smoothed_equals_dense_least_squares_with_penalty_rows(seed, psi):
+    network, records, paths = corridor_set(seed)
+    model, result = fit_edge_model(network, records, paths, psi=psi)
+    assert result.unidentifiable == result.nonpositive == result.untraversed == ()
+    keys = sorted(network.segments)
+    want = dense_wls(records, paths, keys, smoothing_rows(network, records, paths, psi))
+    for key, c in want.items():
+        assert math.isclose(model.c_by_segment[key], c, rel_tol=1e-9), key
+    edge, _ = fit_edge_model(network, records, paths)
+    assert max(abs(model.c_by_segment[k] / edge.c_by_segment[k] - 1.0) for k in keys) > 1e-6
+    resid_sq = sum((r.observed_s - expected_time(model, p, r.distance_m)) ** 2
+                   for r, p in zip(records, paths))
+    assert result.sse_by_epoch == [pytest.approx(resid_sq, rel=1e-9)]
+    assert model.sigma2 == result.sse_by_epoch[0] / sum(r.distance_m for r in records)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_smoothed_edge_at_psi_zero_is_the_edge_fit(tmp_path, capsys, seed):
+    rec_path, routes = tmp_path / "records.csv", tmp_path / "routes.csv"
+    assert cli.run_command(["simulate", "--services", "3", "--stops", "6",
+                            "--shared-corridor", "3", "--n-records", "400",
+                            "--seed", str(seed), "--out-records", str(rec_path),
+                            "--out-truth", str(tmp_path / "truth.csv")]) == 0
+    assert cli.run_command(["infer-routes", "--records", str(rec_path),
+                            "--out-routes", str(routes),
+                            "--out-rejects", str(tmp_path / "rej.csv")]) == 0
+    outputs = {}
+    for kind, extra in (("edge", []), ("smoothed-edge", ["--psi", "0"])):
+        capsys.readouterr()
+        model, sse = tmp_path / f"{kind}.txt", tmp_path / f"{kind}_sse.csv"
+        assert cli.run_command(["train", "--records", str(rec_path), "--routes", str(routes),
+                                "--kind", kind, "--out-model", str(model),
+                                "--out-sse", str(sse), *extra]) == 0
+        head, *segs = model.read_text().splitlines()
+        outputs[kind] = (head.split()[2], segs, sse.read_bytes(),
+                         capsys.readouterr().out.replace(f"kind={kind} ", ""))
+    assert outputs["edge"] == outputs["smoothed-edge"]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -154,13 +213,13 @@ def write_inputs(tmp_path, rows, route):
     return rec_path, routes
 
 
-def train_edge(tmp_path, capsys, rows, route):
-    """train --kind edge through the CLI: its stdout lines; checks the one-row sse.csv."""
+def train_edge(tmp_path, capsys, rows, route, kind="edge"):
+    """train --kind <kind> through the CLI: its stdout lines; checks the one-row sse.csv."""
     rec_path, routes = write_inputs(tmp_path, rows, route)
     sse = tmp_path / "sse.csv"
     capsys.readouterr()
     assert cli.run_command(["train", "--records", str(rec_path), "--routes", str(routes),
-                            "--kind", "edge", "--out-model", str(tmp_path / "m.txt"),
+                            "--kind", kind, "--out-model", str(tmp_path / "m.txt"),
                             "--out-sse", str(sse)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -194,6 +253,32 @@ def test_segments_no_trip_separates_are_unidentifiable(tmp_path, capsys):
     # one trip that boards at b separates them
     out = train_edge(tmp_path, capsys, records + trips(("b", "d", 105.0, 1100.0)), route)
     assert out[:2] == ["untraversed_segments=0", "unidentifiable_segments=0"]
+
+
+def test_smoothing_separates_segments_no_trip_separates(tmp_path, capsys):
+    # the penalty alone picks among the data's equally good splits of a>c: the
+    # split with equal slowness, which is also the edge fit's shared speed
+    route = ("abcd", (0.0, 400.0, 1000.0, 1500.0))
+    records = trips(("a", "c", 100.0, 1000.0), ("a", "c", 110.0, 1000.0),
+                    ("c", "d", 50.0, 500.0), ("c", "d", 54.0, 500.0),
+                    ("a", "c", 96.0, 1000.0))
+    network = build_network([make_route("s1", *route)])
+    model, result = fit_edge_model(network, records, psi=1e-3)
+    assert result.unidentifiable == result.nonpositive == result.untraversed == ()
+    c = model.c_by_segment
+    assert math.isclose(1000.0 / c[("a", "b")], (100.0 + 110.0 + 96.0) / 3, rel_tol=1e-9)
+    assert math.isclose(c[("a", "b")], c[("b", "c")], rel_tol=1e-9)
+    out = train_edge(tmp_path, capsys, records, route, kind="smoothed-edge")
+    assert out[:3] == ["untraversed_segments=0", "unidentifiable_segments=0",
+                       "nonpositive_segments=0"]
+    assert out[3].startswith("trained kind=smoothed-edge records=5 ")
+
+
+def test_fit_rejects_a_negative_or_nonfinite_psi():
+    network, records, paths = corridor_set(0)
+    for psi in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="psi"):
+            fit_edge_model(network, records, paths, psi=psi)
 
 
 def test_nonpositive_slowness_takes_the_global_speed(tmp_path, capsys):

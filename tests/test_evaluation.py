@@ -5,7 +5,7 @@ import pytest
 from flowanomaly.core import build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
 from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
-from flowanomaly.models import Baseline1Model, TrainConfig, fit_baseline1, sse
+from flowanomaly.models import Baseline1Model, fit_baseline1, sse
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
 from conftest import chain_path, make_record, make_route
@@ -115,8 +115,7 @@ class TestKfold:
         records.append(make_record(record_id="lonely", service_id="s2", origin="x",
                                    destination="y", t_start=0.0, t_end=100.0,
                                    distance_m=1000.0))
-        cfg = TrainConfig(eta=1e-3, epochs=1)
-        result = kfold(net, records, 5, ["baseline1"], cfg, seed=1)
+        result = kfold(net, records, 5, ["baseline1"], psi=0.0, seed=1)
         assert len(result.rows) == 5
         assert sum(row.excluded for row in result.rows) == 1
         assert all(row.kind == "baseline1" for row in result.rows)
@@ -126,8 +125,7 @@ class TestKfold:
                           noise_sigma2=0.05, seed=4)
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
-        tc = TrainConfig(eta=1e-3, epochs=2, shuffle_seed=1)
-        result = kfold(truth.network, records, 4, ["baseline1", "baseline2"], tc, seed=6)
+        result = kfold(truth.network, records, 4, ["baseline1", "baseline2"], psi=0.0, seed=6)
         by_fold = {}
         for row in result.rows:
             by_fold.setdefault(row.fold, []).append(row.excluded)
@@ -140,7 +138,7 @@ class TestKfold:
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
         with pytest.raises(ValueError):
-            kfold(truth.network, records, 2, ["nope"], TrainConfig(), seed=0)
+            kfold(truth.network, records, 2, ["nope"], psi=0.0, seed=0)
 
     def test_mean_test_rmse_unknown_kind(self):
         with pytest.raises(ValueError):

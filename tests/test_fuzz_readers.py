@@ -150,3 +150,30 @@ def test_cli_end_to_end(workdir, case):
     else:
         assert not errors
     assert run(workdir, command, {name: data}) == (code, out, err)  # deterministic
+
+
+@pytest.mark.parametrize("rows", [
+    ["s1,0,a,0", "s1,0,b,100", "s1,5,c,250"],  # a repeat and a gap
+    ["s1,0,a,0", "s1,2,b,100"],  # a gap
+    ["s1,1,a,0", "s1,2,b,100"],  # not from 0
+    ["s1,0,a,0", "s1,1,b,100", "s1,1,c,250"],  # a repeat
+])
+def test_routes_seq_must_run_from_zero_without_gap_or_repeat(tmp_path, rows):
+    path = tmp_path / "routes.csv"
+    path.write_text("\n".join([ROUTES_HEADER, "s0,0,x,0", "s0,1,y,50", *rows]) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_routes(str(path))
+    assert str(info.value) == (f"service 's1' in {str(path)!r}: seq must run 0, 1, 2, ... "
+                               "with no gap or repeat")
+
+
+@pytest.mark.parametrize("text, line", [
+    (MODEL + "seg a b 7\n", "seg a b 7"),
+    ("model baseline2 sigma2=0.5\nglobal 9\npath a>b 5\npath a>b 7\n", "path a>b 7"),
+], ids=["seg", "path"])
+def test_model_key_may_not_repeat(tmp_path, text, line):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_model(str(path))
+    assert str(info.value) == f"bad model line: {line!r}: repeats a {line.split()[0]} key"
