@@ -4,126 +4,25 @@ Per-segment transmission speeds are inferred from origin/destination records
 alone; records whose observed transit time deviates far from expectation are
 flagged, ranked by how many other flagged records contain them, and the
 innermost contained records localize the congested segments.
+
+The package root holds the names of the README's library example; everything
+else is imported from its own module (core, routeinfer, models, anomaly,
+evaluation, synth, recordio, errors, cli).
 """
 
-from .core import (
-    DEFAULT_DISTANCE_TOLERANCE_M,
-    NetworkGraph,
-    FlowRecord,
-    NodeId,
-    Path,
-    Segment,
-    ServiceRoute,
-    build_network,
-    resolve_path,
-    resolve_paths,
-    validate_record,
-)
-from .anomaly import (
-    AnomalyReport,
-    DailyStats,
-    DetectConfig,
-    ScoredRecord,
-    containment_counts,
-    contains,
-    daily_series,
-    filter_significant,
-    rank_anomalies,
-    score,
-)
-from .evaluation import CrossValResult, FoldSplit, kfold, make_folds, rmse
-from .models import (
-    Baseline1Model,
-    Baseline2Model,
-    EdgeModel,
-    TrainConfig,
-    TrainResult,
-    estimate_variance,
-    expected_time,
-    fit_baseline1,
-    fit_baseline2,
-    fit_edge_model,
-    gradient,
-    init_edge_model,
-    load_model,
-    log_likelihood,
-    path_key,
-    save_model,
-    sgd_epoch,
-    sse,
-    train_edge_model,
-)
-from .routeinfer import (
-    DistanceEvidence,
-    RouteInferenceOutcome,
-    collect_evidence,
-    infer_all_routes,
-    infer_route,
-)
-from .synth import (
-    PlantedCongestion,
-    SynthConfig,
-    SynthTruth,
-    generate_network,
-    generate_records,
-)
+from .anomaly import DetectConfig, filter_significant, rank_anomalies, score
+from .models import fit_edge_model
+from .synth import SynthConfig, generate_network, generate_records
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyReport",
-    "Baseline1Model",
-    "Baseline2Model",
-    "CrossValResult",
-    "DailyStats",
-    "DEFAULT_DISTANCE_TOLERANCE_M",
     "DetectConfig",
-    "DistanceEvidence",
-    "EdgeModel",
-    "FlowRecord",
-    "FoldSplit",
-    "NetworkGraph",
-    "NodeId",
-    "Path",
-    "PlantedCongestion",
-    "RouteInferenceOutcome",
-    "ScoredRecord",
-    "Segment",
-    "ServiceRoute",
     "SynthConfig",
-    "SynthTruth",
-    "TrainConfig",
-    "TrainResult",
-    "build_network",
-    "collect_evidence",
-    "containment_counts",
-    "contains",
-    "daily_series",
-    "estimate_variance",
-    "expected_time",
     "filter_significant",
-    "fit_baseline1",
-    "fit_baseline2",
     "fit_edge_model",
     "generate_network",
     "generate_records",
-    "gradient",
-    "infer_all_routes",
-    "infer_route",
-    "init_edge_model",
-    "kfold",
-    "load_model",
-    "log_likelihood",
-    "make_folds",
-    "path_key",
     "rank_anomalies",
-    "resolve_path",
-    "resolve_paths",
-    "rmse",
-    "save_model",
     "score",
-    "sgd_epoch",
-    "sse",
-    "train_edge_model",
-    "validate_record",
 ]

@@ -4,10 +4,10 @@ A record's deviation ratio is its residual travel time normalized by
 sigma*sqrt(distance); records above a cutoff form the significant set. Within
 that set, a record is contained by another when its stop sequence is a
 contiguous stretch of the other's and its times nest strictly inside.
-Containment counts rank the records, and the innermost contained records
-pin down which segments were congested and when. Containment is found through
-an index that buckets the significant set by node sequence, so its cost follows
-the number of nested pairs, not the square of the set size.
+Per-record containment counts rank the records, and the innermost contained
+records pin down which segments were congested and when. Containment is found
+through an index that buckets the significant set by node sequence, so its cost
+follows the number of nested pairs, not the square of the set size.
 """
 
 from __future__ import annotations
@@ -159,17 +159,14 @@ def _contained(filtered: Sequence[ScoredRecord]) -> list[list[int]]:
     return out
 
 
-def containment_counts(
-    filtered: Sequence[ScoredRecord], contained: list[list[int]] | None = None
-) -> dict[str, int]:
-    """For each record, how many other significant records contain it.
+def containment_counts(filtered: Sequence[ScoredRecord]) -> dict[str, int]:
+    """For each record id, how many other significant records contain it.
 
-    Pass _contained(filtered) as contained to share one index with rank_anomalies.
+    Rows that share a record id add up under that id; rank_anomalies counts
+    per row.
     """
     counts = {s.record.record_id: 0 for s in filtered}
-    if contained is None:
-        contained = _contained(filtered)
-    for nested in contained:
+    for nested in _contained(filtered):
         for j in nested:
             counts[filtered[j].record.record_id] += 1
     return counts
@@ -194,32 +191,28 @@ def _congestion_entries(
     return entries, PROVENANCE_WITNESS
 
 
-def rank_anomalies(
-    filtered: Sequence[ScoredRecord],
-    counts: dict[str, int],
-    contained: list[list[int]] | None = None,
-) -> list[AnomalyReport]:
+def rank_anomalies(filtered: Sequence[ScoredRecord]) -> list[AnomalyReport]:
     """Order the significant records and localize each one.
 
     Sorted by containment count descending, ratio descending, record id
-    ascending. The innermost records nested in a record (those containing no
-    further significant record) witness its congestion, and their segments are
-    reported, each stamped with its witness's window; a record with none nested
-    falls back to its own path and window. Containment comes from the index of
-    containment_counts (pass its contained lists to build it once), so the cost
-    follows the number of nested pairs, not the square of the set size.
+    ascending; a row's count is how many other rows contain it, so rows that
+    share a record id keep their own counts. The innermost records nested in a
+    record (those containing no further significant record) witness its
+    congestion, and their segments are reported, each stamped with its
+    witness's window; a record with none nested falls back to its own path and
+    window. One containment index serves the counts and the witnesses, so the
+    cost follows the number of nested pairs, not the square of the set size.
     """
-    if contained is None:
-        contained = _contained(filtered)
+    contained = _contained(filtered)
     has_inner = [bool(inner) for inner in contained]
+    counts = [0] * len(filtered)
+    for nested in contained:
+        for j in nested:
+            counts[j] += 1
 
     order = sorted(
         range(len(filtered)),
-        key=lambda i: (
-            -counts[filtered[i].record.record_id],
-            -filtered[i].alpha,
-            filtered[i].record.record_id,
-        ),
+        key=lambda i: (-counts[i], -filtered[i].alpha, filtered[i].record.record_id),
     )
     reports = []
     for i in order:
@@ -229,7 +222,7 @@ def rank_anomalies(
         reports.append(
             AnomalyReport(
                 scored=outer,
-                containment_count=counts[outer.record.record_id],
+                containment_count=counts[i],
                 congested_segments=tuple(entries),
                 provenance=provenance,
             )

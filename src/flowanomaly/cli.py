@@ -351,9 +351,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     # the report, so build_network keeps the first of each without a conflict check
     network = build_network(recordio.read_routes(args.routes), eps_d=math.inf)
     filtered = _load_scored(args.scored, network)
-    contained = anomaly._contained(filtered)
-    counts = anomaly.containment_counts(filtered, contained)
-    reports = anomaly.rank_anomalies(filtered, counts, contained)
+    reports = anomaly.rank_anomalies(filtered)
     recordio.write_report(reports, args.out_report)
     daily = anomaly.daily_series(reports)
     recordio.write_daily(daily, args.out_daily)

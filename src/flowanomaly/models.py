@@ -266,12 +266,7 @@ def gradient(
     return _partials(dists, speeds, base, cfg.tau, psi)[keys.index(key)]
 
 
-def init_edge_model(
-    g: NetworkGraph,
-    records: Records,
-    cfg: TrainConfig,
-    smoothed: bool = False,
-) -> EdgeModel:
+def init_edge_model(g: NetworkGraph, records: Records, smoothed: bool = False) -> EdgeModel:
     """Start every segment at the global speed, variance at the global fit's."""
     if not records:
         raise EmptyInput("init_edge_model needs records")
@@ -309,6 +304,8 @@ class _Columns:
         """A _Columns as it is; a record list on its paths as a new _Columns."""
         if isinstance(records, cls):
             return records
+        if paths is None:
+            raise ValueError("a record list needs its paths: pass paths, or a _Columns")
         if len(records) != len(paths):
             raise ValueError("records and paths must be parallel")
         return cls(
@@ -418,7 +415,7 @@ def train_edge_model(
     if paths is None and not isinstance(records, _Columns):
         paths = resolve_paths(g, records)
     cols = _Columns.of(records, paths)
-    model = init_edge_model(g, cols, cfg, smoothed=smoothed)
+    model = init_edge_model(g, cols, smoothed=smoothed)
     result = TrainResult(untraversed=_untraversed(g, cols))
     for epoch in range(cfg.epochs):  # paths too: perfbench counts segment updates from them
         model, sse = sgd_epoch(model, cols, cols.record_paths, cfg, epoch=epoch)

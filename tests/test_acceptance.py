@@ -304,7 +304,7 @@ def _run_congestion_day(seed, n_records=6000, planted=True, day_start=0.0,
     scored = score(model, records, truth.network)
     filtered, _ = filter_significant(scored, DetectConfig(delta_quantile=0.01))
     counts = containment_counts(filtered)
-    reports = rank_anomalies(filtered, counts)
+    reports = rank_anomalies(filtered)
     return truth, filtered, counts, reports
 
 

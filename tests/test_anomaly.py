@@ -147,12 +147,9 @@ class TestContains:
         assert contains(outer, inner)
 
 
-def oracle_counts(filtered):
-    """Independent containment counter: delimited-string node matching.
-
-    Records sharing a record id add up under that id.
-    """
-    counts = {}
+def oracle_row_counts(filtered):
+    """Independent containment counter, per row: delimited-string node matching."""
+    counts = []
     for inner in filtered:
         n = 0
         inner_key = "|" + "|".join(inner.path.nodes) + "|"
@@ -165,17 +162,27 @@ def oracle_counts(filtered):
             outer_key = "|" + "|".join(outer.path.nodes) + "|"
             if inner_key in outer_key:
                 n += 1
-        counts[inner.record.record_id] = counts.get(inner.record.record_id, 0) + n
+        counts.append(n)
     return counts
 
 
-def random_scored(rng, n, rid_prefix="r"):
+def oracle_counts(filtered):
+    """oracle_row_counts, where records sharing a record id add up under that id."""
+    counts = {}
+    for s, n in zip(filtered, oracle_row_counts(filtered)):
+        counts[s.record.record_id] = counts.get(s.record.record_id, 0) + n
+    return counts
+
+
+def random_scored(rng, n, rid_prefix="r", repeat_ids=False):
+    """n scored trips on the A..H line; with repeat_ids, rows 2k and 2k+1 share an id."""
     out = []
     for i in range(n):
         a, b = sorted(rng.choice(len(ROUTE_NODES), size=2, replace=False))
         t0 = float(rng.uniform(0.0, 5000.0))
         t1 = t0 + float(rng.uniform(10.0, 3000.0))
-        out.append(scored(f"{rid_prefix}{i}", ROUTE_NODES[a], ROUTE_NODES[b], t0, t1,
+        rid = f"{rid_prefix}{i // 2 if repeat_ids else i}"
+        out.append(scored(rid, ROUTE_NODES[a], ROUTE_NODES[b], t0, t1,
                           alpha=float(rng.normal())))
     return out
 
@@ -204,7 +211,7 @@ def oracle_localize(r_outer, filtered):
 
 def report_for(r_outer, filtered):
     """The rank_anomalies report of one record of the significant set."""
-    reports = rank_anomalies(filtered, containment_counts(filtered))
+    reports = rank_anomalies(filtered)
     return next(rep for rep in reports if rep.scored is r_outer)
 
 
@@ -241,27 +248,47 @@ class TestRankAnomalies:
         r2 = scored("r2", "B", "E", 100.0, 900.0, alpha=2.0)
         r3 = scored("r3", "C", "D", 200.0, 800.0, alpha=0.5)
         filtered = [r1, r2, r3]
-        counts = containment_counts(filtered)
-        reports = rank_anomalies(filtered, counts)
+        reports = rank_anomalies(filtered)
         assert [rep.scored.record.record_id for rep in reports] == ["r3", "r2", "r1"]
 
     def test_alpha_breaks_count_ties(self):
         a = scored("a", "A", "B", 0.0, 100.0, alpha=3.0)
         b = scored("b", "C", "D", 0.0, 100.0, alpha=2.0)
-        reports = rank_anomalies([b, a], {"a": 0, "b": 0})
+        reports = rank_anomalies([b, a])
         assert [rep.scored.record.record_id for rep in reports] == ["a", "b"]
 
     def test_id_breaks_full_ties(self):
         a = scored("a", "A", "B", 0.0, 100.0, alpha=1.0)
         b = scored("b", "C", "D", 0.0, 100.0, alpha=1.0)
-        reports = rank_anomalies([b, a], {"a": 0, "b": 0})
+        reports = rank_anomalies([b, a])
         assert [rep.scored.record.record_id for rep in reports] == ["a", "b"]
+
+    def test_rows_sharing_a_record_id_keep_their_own_counts(self):
+        # "dup" A>B starts with o0 and ends before o1 does, so nothing contains it;
+        # "dup" B>C nests in all three outer trips
+        outers = [scored(f"o{k}", "A", "D", 10.0 * k, 1000.0 - 10.0 * k) for k in range(3)]
+        free = scored("dup", "A", "B", 0.0, 50.0)
+        nested = scored("dup", "B", "C", 400.0, 500.0)
+        reports = rank_anomalies([*outers, free, nested])
+        by_row = {id(rep.scored): rep.containment_count for rep in reports}
+        assert by_row[id(free)] == 0
+        assert by_row[id(nested)] == 3
+
+    def test_row_counts_match_oracle_with_repeated_ids(self):
+        rng = np.random.default_rng(78)
+        for _ in range(5):
+            filtered = random_scored(rng, 60, repeat_ids=True)
+            assert containment_counts(filtered) == oracle_counts(filtered)
+            want = dict(zip(map(id, filtered), oracle_row_counts(filtered)))
+            reports = rank_anomalies(filtered)
+            assert any(want[id(rep.scored)] for rep in reports)
+            for rep in reports:
+                assert rep.containment_count == want[id(rep.scored)]
 
     def test_congestion_matches_standalone_localize(self):
         rng = np.random.default_rng(5)
         filtered = random_scored(rng, 40)
-        counts = containment_counts(filtered)
-        reports = rank_anomalies(filtered, counts)
+        reports = rank_anomalies(filtered)
         by_id = {rep.scored.record.record_id: rep for rep in reports}
         for s in filtered:
             entries, provenance = oracle_localize(s, filtered)
@@ -359,7 +386,7 @@ class TestContainmentIndex:
             filtered = trips.random_set(rng, 120)
             counts = containment_counts(filtered)
             assert counts == oracle_counts(filtered)
-            reports = rank_anomalies(filtered, counts)
+            reports = rank_anomalies(filtered)
             assert sorted(map(id, (rep.scored for rep in reports))) == sorted(
                 map(id, filtered))
             for rep in reports:
@@ -406,7 +433,7 @@ class TestContainmentIndex:
                                        t0 + float(rng.uniform(60.0, 600.0))))
         started = time.perf_counter()
         counts = containment_counts(filtered)
-        reports = rank_anomalies(filtered, counts)
+        reports = rank_anomalies(filtered)
         elapsed = time.perf_counter() - started
         assert len(reports) == 20000
         assert sum(counts.values()) > 0

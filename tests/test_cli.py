@@ -582,9 +582,7 @@ class TestReportWriterMatchesLoop:
                    "--out-report", str(report), "--out-daily", str(tmp_path / "daily.csv")) == 0
         network = build_network(read_routes(str(routes)))
         filtered = cli._load_scored(str(scored), network)
-        contained = anomaly._contained(filtered)
-        counts = anomaly.containment_counts(filtered, contained)
-        reports = anomaly.rank_anomalies(filtered, counts, contained)
+        reports = anomaly.rank_anomalies(filtered)
         want = "".join(ln + "\n" for ln in oracle_report_lines(reports))
         assert report.read_text() == want
         return [ln.split(",") for ln in want.splitlines()[1:]], filtered

@@ -15,7 +15,7 @@ from flowanomaly.errors import (
     NonPositiveVariance,
     SegmentNotOnPath,
 )
-from flowanomaly.evaluation import CrossValResult, TrialRow
+from flowanomaly.evaluation import CrossValResult, TrialRow, rmse
 from flowanomaly.models import (
     SIGMA2_FLOOR,
     Baseline1Model,
@@ -226,7 +226,7 @@ class TestGradient:
 class TestInitAndVariance:
     def test_init_from_global_fit(self, line_network):
         records = [rec(100.0, 12.5, "r1", "a", "b"), rec(200.0, 25.0, "r2", "a", "c")]
-        model = init_edge_model(line_network, records, TrainConfig())
+        model = init_edge_model(line_network, records)
         b1 = fit_baseline1(records)
         assert set(model.c_by_segment) == set(line_network.segments)
         assert all(v == b1.c for v in model.c_by_segment.values())
@@ -234,7 +234,7 @@ class TestInitAndVariance:
 
     def test_empty_records(self, line_network):
         with pytest.raises(EmptyInput):
-            init_edge_model(line_network, [], TrainConfig())
+            init_edge_model(line_network, [])
 
     def test_estimate_variance_zero(self):
         model = EdgeModel({("a", "b"): 10.0}, sigma2=1.0)
@@ -264,6 +264,21 @@ class TestInitAndVariance:
             estimate_variance(EdgeModel({}, 1.0), [], [])
 
 
+class TestRecordListWithoutPaths:
+    """A FlowRecord list with paths left out is one ValueError, not a TypeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m, records: fit_baseline2(records),
+        lambda m, records: sse(m, records),
+        lambda m, records: estimate_variance(m, records),
+        lambda m, records: rmse(m, records),
+    ], ids=["fit_baseline2", "sse", "estimate_variance", "rmse"])
+    def test_names_the_missing_paths(self, call):
+        model = EdgeModel({("a", "b"): 10.0}, sigma2=1.0)
+        with pytest.raises(ValueError, match="a record list needs its paths"):
+            call(model, [rec(100.0, 10.0)])
+
+
 class TestSgdEpoch:
     def test_noiseless_fixed_point(self):
         truth = two_speed_truth()
@@ -288,8 +303,8 @@ class TestSgdEpoch:
         records, _ = generate_records(truth, cfg)
         paths = resolve_paths(truth.network, records)
         tcfg = TrainConfig(eta=0.005, epochs=1, shuffle_seed=3)
-        m1 = init_edge_model(truth.network, records, tcfg)
-        m2 = init_edge_model(truth.network, records, tcfg)
+        m1 = init_edge_model(truth.network, records)
+        m2 = init_edge_model(truth.network, records)
         m1, s1 = sgd_epoch(m1, records, paths, tcfg, epoch=4)
         m2, s2 = sgd_epoch(m2, records, paths, tcfg, epoch=4)
         assert m1.c_by_segment == m2.c_by_segment
@@ -397,7 +412,7 @@ class TestSgdSharesKernels:
         records, _ = generate_records(truth, scfg)
         paths = resolve_paths(truth.network, records)
         tcfg = TrainConfig(eta=0.005, shuffle_seed=2, variance_refresh=refresh)
-        model = init_edge_model(truth.network, records, tcfg)
+        model = init_edge_model(truth.network, records)
         sigma2_before = model.sigma2
         model, got = sgd_epoch(model, records, paths, tcfg, epoch=1)
         assert got == sse(model, records, paths)
@@ -455,7 +470,7 @@ def oracle_sgd_epoch(model, records, paths, cfg, epoch=0):
 
 def oracle_train(net, records, cfg, smoothed):
     paths = resolve_paths(net, records)
-    model = init_edge_model(net, records, cfg, smoothed=smoothed)
+    model = init_edge_model(net, records, smoothed=smoothed)
     trail, clamps = [], 0
     for epoch in range(cfg.epochs):
         model, sse_value, n = oracle_sgd_epoch(model, records, paths, cfg, epoch)
@@ -510,7 +525,7 @@ class TestColumnarTrainerMatchesOracle:
         net, records = corridor_set(n_records=300, seed=4)
         paths = resolve_paths(net, records)
         cfg = TrainConfig(eta=0.01, psi=0.05, shuffle_seed=1)
-        want = init_edge_model(net, records, cfg, smoothed=smoothed)
+        want = init_edge_model(net, records, smoothed=smoothed)
         want.sigma2 = SIGMA2_FLOOR / 2
         got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
         frozen = dict(want.c_by_segment)
@@ -528,7 +543,7 @@ class TestColumnarTrainerMatchesOracle:
         net, records = corridor_set(n_records=200)
         paths = resolve_paths(net, records)
         cfg = TrainConfig()
-        model = init_edge_model(net, records, cfg)
+        model = init_edge_model(net, records)
         for key in (paths[9].segments[0].key, paths[5].segments[-1].key):
             model.c_by_segment.pop(key, None)
         with pytest.raises(MissingSegmentSpeed) as want:
@@ -603,7 +618,7 @@ class TestInlineStepMatchesOracle:
             lengths.update(len(p.segments) for p in paths)
             cfg = TrainConfig(eta=eta, tau=tau, psi=psi, shuffle_seed=seed,
                               variance_refresh=refresh)
-            want = init_edge_model(net, records, cfg, smoothed=smoothed)
+            want = init_edge_model(net, records, smoothed=smoothed)
             if seed % 3 == 0:  # starts frozen; a refreshed sigma2 thaws it
                 want.sigma2 = SIGMA2_FLOOR / 2
             got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
@@ -646,7 +661,7 @@ class TestInlineStepMatchesOracle:
         net, records = random_corridor(2)
         paths = resolve_paths(net, records)
         cfg = TrainConfig(eta=1e308, tau=1e-3, psi=psi, shuffle_seed=3)
-        want = init_edge_model(net, records, cfg, smoothed=smoothed)
+        want = init_edge_model(net, records, smoothed=smoothed)
         got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
         inf_speeds = 0
         for epoch in range(2):
