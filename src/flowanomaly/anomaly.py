@@ -17,11 +17,13 @@ import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import FlowRecord, NetworkGraph, Path, Segment, resolve_paths
 from .errors import EmptyInput, ZeroVariance
-from .models import Model, _Columns
+
+if TYPE_CHECKING:  # only score needs models at run time, so localize never loads it
+    from .models import Model, _Columns
 
 PROVENANCE_WITNESS = "innermost-witness"
 PROVENANCE_SELF = "self-path"
@@ -72,6 +74,8 @@ def score(
     model: Model, records: Sequence[FlowRecord], network: NetworkGraph
 ) -> list[ScoredRecord]:
     """Attach a deviation ratio to every record."""
+    from .models import _Columns
+
     paths = resolve_paths(network, records)
     expected, alphas = _deviations(model, _Columns.of(records, paths))
     return [
@@ -133,10 +137,10 @@ def _contained(filtered: Sequence[ScoredRecord]) -> list[list[int]]:
     """Per record, the ascending indices of the records it contains.
 
     Records are bucketed by node sequence, each bucket sorted by start time.
-    An outer record looks up each contiguous run of its nodes and bisects that
-    bucket to the starts strictly inside its window, so the scan touches only
-    records that board during its trip: L(L-1)/2 lookups for L nodes plus the
-    candidates found, not n^2.
+    The contiguous runs of each distinct sequence are looked up once, L(L-1)/2
+    for L nodes, and every record on the sequence bisects the buckets they hit
+    to the starts strictly inside its window, so the scan touches only records
+    that board during its trip: the candidates found, not n^2.
     """
     buckets: dict[tuple, list[tuple[float, float, int]]] = {}
     for j, s in enumerate(filtered):
@@ -145,17 +149,19 @@ def _contained(filtered: Sequence[ScoredRecord]) -> list[list[int]]:
     for key, entries in buckets.items():
         entries.sort()
         index[key] = ([e[0] for e in entries], entries)
-    out = []
-    for s in filtered:
-        nodes, t0, t1 = s.path.nodes, s.record.t_start, s.record.t_end
-        n, inner = len(nodes), []
-        for run in {nodes[a:b] for a in range(n - 1) for b in range(a + 2, n + 1)}:
-            if run in index:
-                starts, entries = index[run]
-                window = entries[bisect_right(starts, t0) : bisect_left(starts, t1)]
-                inner.extend(j for _, end, j in window if end < t1)
-        inner.sort()
-        out.append(inner)
+    out: list[list[int]] = [[] for _ in filtered]
+    for nodes, (_, entries) in index.items():
+        # the buckets that the runs of this node sequence hit, shared by its records
+        n = len(nodes)
+        runs = {nodes[a:b] for a in range(n - 1) for b in range(a + 2, n + 1)}
+        hits = [index[run] for run in runs if run in index]
+        for t0, t1, i in entries:
+            inner = out[i]
+            for starts, bucket in hits:
+                for _, end, j in bucket[bisect_right(starts, t0) : bisect_left(starts, t1)]:
+                    if end < t1:
+                        inner.append(j)
+            inner.sort()
     return out
 
 
@@ -183,11 +189,12 @@ def _congestion_entries(
     entries: list[tuple[Segment, float, float]] = []
     seen = set()
     for w in witnesses:
+        w0, w1 = w.record.t_start, w.record.t_end
         for seg in w.path.segments:
-            key = (seg.key, w.record.t_start, w.record.t_end)
+            key = (seg.from_node, seg.to_node, w0, w1)
             if key not in seen:
                 seen.add(key)
-                entries.append((seg, w.record.t_start, w.record.t_end))
+                entries.append((seg, w0, w1))
     return entries, PROVENANCE_WITNESS
 
 

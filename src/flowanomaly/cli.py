@@ -5,9 +5,13 @@ crossval, detect, localize. Every random choice is seeded from explicit
 flags, so identical invocations produce byte-identical output files.
 
 Each flag is declared once: a subcommand's file flags in _SUBCOMMANDS, and its
-tunables in _TUNABLES, which are also its config-file keys (TrainConfig's
+tunables in _tunables, which are also its config-file keys (TrainConfig's
 fields, and SynthConfig's defaults for simulate). The file formats live in
 recordio; this module parses flags, runs the library and prints the summaries.
+
+A process imports the modules of the subcommand it runs and no others: only
+that subcommand's flags are declared, and each command imports its modules
+itself, since compiling the rest is a measurable share of a short run.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import os
 import sys
 from array import array
 from dataclasses import fields, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import anomaly, evaluation, models, recordio, routeinfer, synth
+from . import recordio
 from .core import (
     DEFAULT_DISTANCE_TOLERANCE_M,
     NetworkGraph,
@@ -33,6 +37,9 @@ from .core import (
 )
 from .errors import FlowError
 from .recordio import format_float as _fmt, write_lines
+
+if TYPE_CHECKING:  # each command imports the modules it runs, when it runs
+    from . import anomaly, models
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -58,60 +65,64 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# TrainConfig's fields as flags and config keys, cast by the type of their default.
-# Only psi reaches a fit; the others are the ascent's, which no subcommand runs.
-_TRAIN_TUNABLES = {
-    f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
-    for f in fields(models.TrainConfig)
-}
-_ASCENT_ONLY = _TRAIN_TUNABLES.keys() - {"psi"}
-_EPS_D = {"eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M)}
-_SYNTH = synth.SynthConfig()
+def _tunables(command: str) -> dict[str, tuple]:
+    """A subcommand's tunables, each a flag and a config key, in flag order.
 
-# subcommand -> dest -> (caster, default): its tunables, each a flag and a config
-# key, in flag order. A None default means the flag is optional with no value.
-_TUNABLES: dict[str, dict[str, tuple]] = {
-    "simulate": {
-        "services": (int, _SYNTH.n_services),
-        "stops": (int, _SYNTH.stops_per_service),
-        "shared_corridor": (int, _SYNTH.shared_corridor_stops),
-        "seg_len_min": (float, _SYNTH.segment_length_range_m[0]),
-        "seg_len_max": (float, _SYNTH.segment_length_range_m[1]),
-        "speed_min": (float, _SYNTH.speed_range_mps[0]),
-        "speed_max": (float, _SYNTH.speed_range_mps[1]),
-        "n_records": (int, _SYNTH.n_records),
-        "noise_sigma2": (float, _SYNTH.noise_sigma2),
-        "seed": (int, _SYNTH.seed),
-        "day_start": (float, _SYNTH.day_start_s),
-        "day_seconds": (float, _SYNTH.day_seconds),
-        "congest_index": (int, None),
-        "congest_from": (str, None),
-        "congest_to": (str, None),
-        "congest_start": (float, None),
-        "congest_end": (float, None),
-        "congest_factor": (float, None),
-    },
-    "infer-routes": _EPS_D,
-    "train": {"kind": (str, models.KIND_EDGE), **_TRAIN_TUNABLES, **_EPS_D},
-    "crossval": {
-        "folds": (int, 5),
-        "kinds": (str, ",".join(models.MODEL_KINDS)),
-        "seed": (int, 0),
-        **_TRAIN_TUNABLES,
-        **_EPS_D,
-    },
-    "detect": {
-        "delta_quantile": (float, anomaly.DetectConfig.delta_quantile),
-        "delta_override": (float, anomaly.DetectConfig.delta_override),
-        **_EPS_D,
-    },
-    "localize": {},
-}
+    dest -> (caster, default), each default read from the subcommand's config
+    class (TrainConfig's fields, cast by the type of their default; SynthConfig's
+    defaults for simulate). A None default means the flag is optional with no
+    value. Only the modules of that subcommand are imported.
+    """
+    eps_d = {"eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M)}
+    if command == "simulate":
+        from .synth import SynthConfig
+
+        cfg = SynthConfig()
+        return {
+            "services": (int, cfg.n_services),
+            "stops": (int, cfg.stops_per_service),
+            "shared_corridor": (int, cfg.shared_corridor_stops),
+            "seg_len_min": (float, cfg.segment_length_range_m[0]),
+            "seg_len_max": (float, cfg.segment_length_range_m[1]),
+            "speed_min": (float, cfg.speed_range_mps[0]),
+            "speed_max": (float, cfg.speed_range_mps[1]),
+            "n_records": (int, cfg.n_records),
+            "noise_sigma2": (float, cfg.noise_sigma2),
+            "seed": (int, cfg.seed),
+            "day_start": (float, cfg.day_start_s),
+            "day_seconds": (float, cfg.day_seconds),
+            "congest_index": (int, None),
+            "congest_from": (str, None),
+            "congest_to": (str, None),
+            "congest_start": (float, None),
+            "congest_end": (float, None),
+            "congest_factor": (float, None),
+        }
+    if command in ("train", "crossval"):
+        from .models import KIND_EDGE, MODEL_KINDS, TrainConfig
+
+        # only psi reaches a fit; the others are the ascent's, which no subcommand runs
+        fit = {f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
+               for f in fields(TrainConfig)}
+        if command == "train":
+            return {"kind": (str, KIND_EDGE), **fit, **eps_d}
+        return {"folds": (int, 5), "kinds": (str, ",".join(MODEL_KINDS)), "seed": (int, 0),
+                **fit, **eps_d}
+    if command == "detect":
+        from .anomaly import DetectConfig
+
+        return {
+            "delta_quantile": (float, DetectConfig.delta_quantile),
+            "delta_override": (float, DetectConfig.delta_override),
+            **eps_d,
+        }
+    return eps_d if command == "infer-routes" else {}
+
 
 # Help text of the flags that have one; a tunable's also names its default.
 _HELP = {
     "out_sse": "epoch,sse: one row, the fit's sum of squared residuals",
-    "kind": f"one of {', '.join(models.MODEL_KINDS)}",
+    "kind": "one of baseline1, baseline2, edge, smoothed-edge",  # models.MODEL_KINDS; tested
     "eta": "step size",
     "tau": "log-barrier strength",
     "psi": "smoothed-edge's penalty on speed differences of consecutive segments",
@@ -120,6 +131,8 @@ _HELP = {
     "shuffle_seed": "seed of each epoch's record order",
     "variance_refresh": "keep the first sigma2 instead of re-estimating it each epoch",
 }
+# TrainConfig's fields but psi: the gradient ascent's, in their own help group.
+_ASCENT_ONLY = ("eta", "tau", "epochs", "c_min", "shuffle_seed", "variance_refresh")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -128,11 +141,13 @@ def _apply_config(args: argparse.Namespace) -> None:
     One file may serve several subcommands, so a key is rejected only when no
     subcommand knows it.
     """
-    table = _TUNABLES[args.command]
+    table = _tunables(args.command)
     file_values = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values).difference(*_TUNABLES.values()))
+    unknown = set(file_values).difference(table)
+    if unknown:  # the other subcommands' tables are built only for a key this one lacks
+        unknown.difference_update(*map(_tunables, _SUBCOMMANDS))
     if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for dest, (caster, default) in table.items():
         if getattr(args, dest) is not None:
             continue
@@ -169,6 +184,8 @@ def _load_table(
     origin, destination) is resolved once; only validate_record's distance
     check runs per row.
     """
+    from .models import _Columns
+
     table, rejects = recordio.read_table(path)
     _print_rejects(rejects)
     by_key: list[Path | None] = []
@@ -186,7 +203,7 @@ def _load_table(
     if len(rows) < len(table):
         print(f"skipped_unresolvable={len(table) - len(rows)}", file=sys.stderr)
     t_start, t_end = table.t_start, table.t_end
-    cols = models._Columns(
+    cols = _Columns(
         list(map(table.record_ids.__getitem__, rows)),
         array("d", [t_end[i] - t_start[i] for i in rows]),
         list(map(table.distance.__getitem__, rows)),
@@ -196,10 +213,14 @@ def _load_table(
 
 
 def _train_config(args: argparse.Namespace) -> models.TrainConfig:
-    return models.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_TUNABLES})
+    from .models import TrainConfig
+
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import synth
+
     cfg = synth.SynthConfig(
         n_services=args.services,
         stops_per_service=args.stops,
@@ -256,6 +277,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer_routes(args: argparse.Namespace) -> int:
+    from . import routeinfer
+
     table, parse_rejects = recordio.read_table(args.records)
     _print_rejects(parse_rejects)
     outcome = routeinfer.infer_all_routes(table, eps_d=args.eps_d)
@@ -269,6 +292,8 @@ def _cmd_infer_routes(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from . import models
+
     if args.kind not in models.MODEL_KINDS:
         raise ValueError(
             f"unknown kind {args.kind!r}; expected one of {', '.join(models.MODEL_KINDS)}"
@@ -302,6 +327,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     cfg = _train_config(args)
     network = _network_from(args)
@@ -320,6 +347,8 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from . import anomaly, models
+
     network = _network_from(args)
     model = models.load_model(args.model)
     table, rows, cols = _load_table(network, args.records, args.eps_d)
@@ -338,15 +367,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _load_scored(path: str, network: NetworkGraph) -> list[anomaly.ScoredRecord]:
     """The significant rows of a scored file, each on its path in the network."""
+    from .anomaly import ScoredRecord
+
     out = []
     for *row, expected_s, alpha in recordio.read_significant(path):
         found = resolve_path(network, *row[1:4])
         record = FlowRecord(*row, found.distance_m)
-        out.append(anomaly.ScoredRecord(record, found, alpha, expected_s))
+        out.append(ScoredRecord(record, found, alpha, expected_s))
     return out
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
+    from . import anomaly
+
     # detect has checked the routes at its eps_d; here segment lengths only label
     # the report, so build_network keeps the first of each without a conflict check
     network = build_network(recordio.read_routes(args.routes), eps_d=math.inf)
@@ -378,7 +411,7 @@ _SUBCOMMANDS = {  # name -> (function, help, file flags)
 def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
     """One flag per tunable, the ascent's in their own group; a boolean gets --no-<name>."""
     group = p
-    if not _ASCENT_ONLY.isdisjoint(table):
+    if not table.keys().isdisjoint(_ASCENT_ONLY):
         group = p.add_argument_group(
             "gradient ascent",
             "No subcommand runs the ascent: every kind is fitted in closed form. These "
@@ -397,24 +430,34 @@ def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
             target.add_argument(f"--{flag}", type=caster, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of `command`'s declared.
+
+    The other subparsers are left bare, so that no other subcommand's modules
+    are imported for their defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="flowanomaly",
         description="Detect and localize flow anomalies from origin/destination records.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, files) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for dest in files:
-            p.add_argument("--" + dest.replace("_", "-"), help=_HELP.get(dest))
-        _add_tunables(p, _TUNABLES[command])
-        p.add_argument("--config", help="key=value file; flags override it")
+    for name, (_, help_text, files) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            for dest in files:
+                p.add_argument("--" + dest.replace("_", "-"), help=_HELP.get(dest))
+            _add_tunables(p, _tunables(name))
+            p.add_argument("--config", help="key=value file; flags override it")
     return parser
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and map failures to a single-line error."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so argparse dispatches on the
+    # first argument that names a subcommand: a positional before it is an
+    # invalid choice, whichever flags are declared.
+    parser = build_parser(next((arg for arg in argv if arg in _SUBCOMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

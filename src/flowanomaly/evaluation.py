@@ -11,6 +11,7 @@ from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
     KIND_BASELINE2,
+    KIND_EDGE,
     KIND_SMOOTHED,
     MODEL_KINDS,
     Model,
@@ -80,12 +81,22 @@ def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
     return FoldSplit(k=k, assignments=assignments, seed=seed)
 
 
-def _fit_kind(kind: str, network: NetworkGraph, cols: _Columns, psi: float) -> Model:
+def _fit_kind(
+    kind: str, kinds: Sequence[str], network: NetworkGraph, cols: _Columns, psi: float
+) -> dict[str, Model]:
+    """The kind's model on the columns, by kind.
+
+    With both edge kinds in `kinds`, one normal matrix serves the two: the
+    smoothed-edge fit's first solve is the edge fit, bit for bit.
+    """
     if kind == KIND_BASELINE1:
-        return fit_baseline1(cols)
+        return {kind: fit_baseline1(cols)}
     if kind == KIND_BASELINE2:
-        return fit_baseline2(cols)
-    return fit_edge_model(network, cols, psi=psi if kind == KIND_SMOOTHED else 0.0)[0]
+        return {kind: fit_baseline2(cols)}
+    if KIND_SMOOTHED in kinds:
+        smoothed, trail = fit_edge_model(network, cols, psi=psi)
+        return {KIND_SMOOTHED: smoothed, KIND_EDGE: trail.unsmoothed}
+    return {kind: fit_edge_model(network, cols)[0]}
 
 
 def kfold(
@@ -135,8 +146,11 @@ def kfold(
                 f"fold {fold} has no test record left: all {excluded} cross a segment "
                 "that no training record covers; fewer folds or more records would help"
             )
+        fits: dict[str, Model] = {}
         for kind in model_kinds:
-            model = _fit_kind(kind, network, train, psi)
+            if kind not in fits:
+                fits.update(_fit_kind(kind, model_kinds, network, train, psi))
+            model = fits[kind]
             result.rows.append(
                 TrialRow(
                     fold=fold,

@@ -125,13 +125,15 @@ class TrainResult:
     untraversed: no training record crosses them. unidentifiable and
     nonpositive come from fit_edge_model only: segments whose speed the records
     cannot separate from their neighbours', and segments whose fitted slowness
-    was not positive (both defined there).
+    was not positive (both defined there). unsmoothed, from fit_edge_model only,
+    is its first solve: the `edge` fit, bit for bit, even when psi > 0.
     """
 
     sse_by_epoch: list[float] = field(default_factory=list)
     untraversed: tuple[tuple[NodeId, NodeId], ...] = ()
     unidentifiable: tuple[tuple[NodeId, NodeId], ...] = ()
     nonpositive: tuple[tuple[NodeId, NodeId], ...] = ()
+    unsmoothed: EdgeModel | None = None
 
 
 def path_key(path: Path) -> str:
@@ -510,6 +512,7 @@ def fit_edge_model(
         return model, resid_sq, np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL, bad
 
     model, resid_sq, unidentifiable, bad = solve(normal)
+    unsmoothed = model
     if psi:
         pairs += pairs.T
         mu = psi * model.sigma2 * base.c ** 4
@@ -519,6 +522,7 @@ def fit_edge_model(
         untraversed=_untraversed(g, cols),
         unidentifiable=tuple(sorted(compress(cols.keys, unidentifiable))),
         nonpositive=tuple(sorted(compress(cols.keys, bad))),
+        unsmoothed=unsmoothed,
     )
 
 

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from itertools import count
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .core import FlowRecord, NodeId, Segment, ServiceRoute, check_record
+from .core import FlowRecord, NodeId, ServiceRoute, check_record
 from .errors import AllRowsRejected, UnreadableInput
 
 if TYPE_CHECKING:
@@ -340,25 +340,37 @@ def write_scored(table: RecordTable, rows: Sequence[int], observed: Iterable[flo
 def read_significant(
     path: str,
 ) -> Iterator[tuple[str, str, NodeId, NodeId, float, float, float, float]]:
-    """The significant rows of a scored file, each parsed when reached, as (record_id,
-    service_id, origin, destination, t_start, t_end, expected_s, alpha)."""
-    body = [ln for ln in read_lines(path) if ln and not ln.startswith("#")]
-    if not body or body[0] != SCORED_HEADER:
-        raise ValueError(f"bad scored-file header in {path!r}")
-    for ln in body[1:]:
-        parts = ln.split(",")
-        if len(parts) != 10:
-            raise ValueError(f"bad scored row: {ln!r}")
-        if parts[9] == "1":
-            yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
-                   float(parts[8]))
+    """The significant rows of a scored file, as (record_id, service_id, origin,
+    destination, t_start, t_end, expected_s, alpha).
+
+    The file is read a line at a time, and only rows flagged significant are split
+    and converted, so memory follows the significant set, not the file. Lines end
+    where read_lines ends them (str.splitlines of each line read); blank lines and
+    `#` comments are skipped, and the first other line must be the header. Every
+    row must have 10 fields: a row without raises ValueError when the iteration
+    reaches it, after the rows before it. Bytes that are not UTF-8 raise
+    UnicodeDecodeError, a ValueError, when the block of the file that holds them
+    is read. The file is closed when the iteration ends, fails or is closed.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (ln for physical in fh for ln in physical.splitlines()
+                 if ln and not ln.startswith("#"))
+        if next(lines, None) != SCORED_HEADER:
+            raise ValueError(f"bad scored-file header in {path!r}")
+        for ln in lines:
+            if ln.count(",") != 9:
+                raise ValueError(f"bad scored row: {ln!r}")
+            if ln.endswith(",1"):  # the last of its 10 fields is "1"
+                parts = ln.split(",")
+                yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
+                       float(parts[8]))
 
 
 def write_report(reports: Sequence[AnomalyReport], dest: str | IO[str]) -> None:
     """One row per report and window, its segments `|from>to@length|...|` in first-seen order."""
     f = format_float
     lines = [REPORT_HEADER]
-    labels: dict[Segment, str] = {}
+    labels: dict[tuple[NodeId, NodeId, float], str] = {}  # by fields: skips Segment.__hash__
     windows: dict[tuple[float, float], str] = {}
     for rank, rep in enumerate(reports, start=1):
         s, r = rep.scored, rep.scored.record
@@ -369,9 +381,10 @@ def write_report(reports: Sequence[AnomalyReport], dest: str | IO[str]) -> None:
         )
         grouped: dict[tuple[float, float], list[str]] = {}  # windows in first-seen order
         for seg, w0, w1 in rep.congested_segments:
-            label = labels.get(seg)
+            label_key = (seg.from_node, seg.to_node, seg.distance_m)
+            label = labels.get(label_key)
             if label is None:
-                label = labels[seg] = f"{seg.from_node}>{seg.to_node}@{f(seg.distance_m)}"
+                label = labels[label_key] = f"{seg.from_node}>{seg.to_node}@{f(seg.distance_m)}"
             grouped.setdefault((w0, w1), []).append(label)
         for key, segs in grouped.items():
             window = windows.get(key)

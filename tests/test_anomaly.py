@@ -394,6 +394,30 @@ class TestContainmentIndex:
                 assert rep.provenance == provenance
                 assert list(rep.congested_segments) == entries
 
+    def test_matches_brute_force_on_a_few_shared_node_sequences(self):
+        # most rows share one of five node sequences, so each sequence's runs,
+        # built once, serve many records
+        rng = np.random.default_rng(31)
+        trips = CorridorTrips()
+        stretches = [(0, 0, 7), (1, 1, 6), (2, 2, 5), (3, 2, 4), (0, 3, 4)]
+        filtered = []
+        for m in range(100):
+            k, i, j = stretches[int(rng.integers(0, len(stretches)))]
+            t0 = 10.0 * int(rng.integers(0, 60))
+            t1 = t0 + 10.0 * int(rng.integers(1, 40))
+            filtered.append(trips.trip(f"r{m // 2}" if m % 5 == 0 else f"r{m}", k, i, j,
+                                       t0, t1, alpha=float(rng.normal())))
+        assert len({s.path.nodes for s in filtered}) == len(stretches)
+        assert containment_counts(filtered) == oracle_counts(filtered)
+        want = dict(zip(map(id, filtered), oracle_row_counts(filtered)))
+        reports = rank_anomalies(filtered)
+        assert sum(rep.provenance == PROVENANCE_WITNESS for rep in reports) > 10
+        for rep in reports:
+            assert rep.containment_count == want[id(rep.scored)]
+            entries, provenance = oracle_localize(rep.scored, filtered)
+            assert rep.provenance == provenance
+            assert list(rep.congested_segments) == entries
+
     def test_strict_nesting_at_window_bounds(self):
         trips = CorridorTrips()
         outer = trips.trip("outer", 0, 1, 6, 100.0, 200.0)

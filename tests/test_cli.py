@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,11 @@ class TestValidation:
                    "--congest-index", "0")
         assert code != 0
         assert "congest" in capsys.readouterr().err
+
+    def test_flag_tables_follow_the_config_classes(self):
+        # cli names these without importing models, which only train and crossval load
+        assert cli._HELP["kind"] == f"one of {', '.join(models.MODEL_KINDS)}"
+        assert set(cli._ASCENT_ONLY) == {f.name for f in fields(models.TrainConfig)} - {"psi"}
 
     def test_config_key_no_subcommand_knows_is_rejected(self, tmp_path, capsys):
         rec_path, _ = simulate_small(tmp_path)
@@ -630,7 +637,65 @@ class TestReportWriterMatchesLoop:
         assert {(row[1], row[11]) for row in rows} >= {("neg", "-0"), ("pos", "0")}
 
 
+def fresh_interpreter(script):
+    """Run a script in a new interpreter with the package on its path; its stdout."""
+    src = str(Path(flowanomaly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Loaded by the package root or cli whatever the subcommand: cli's own imports.
+ALWAYS_LOADED = {"flowanomaly", "flowanomaly.cli", "flowanomaly.core", "flowanomaly.errors",
+                 "flowanomaly.recordio"}
+
+
 class TestStartup:
+    def test_importing_the_package_loads_no_submodule(self):
+        out = fresh_interpreter(
+            "import sys, flowanomaly\n"
+            "print(sorted(m for m in sys.modules if m.startswith('flowanomaly.')))\n"
+            "print(flowanomaly.generate_network.__module__, flowanomaly.score.__module__)\n")
+        assert out.splitlines() == ["[]", "flowanomaly.synth flowanomaly.anomaly"]
+
+    @pytest.mark.parametrize("command, absent", [
+        ("infer-routes", {"anomaly", "models", "evaluation", "synth"}),
+        ("detect", {"evaluation", "synth", "routeinfer"}),
+        ("localize", {"models", "evaluation", "synth", "routeinfer"}),
+    ])
+    def test_each_subcommand_loads_only_its_modules(self, tmp_path, command, absent):
+        # each module is compiled afresh where no bytecode is cached, so a module a
+        # subcommand does not run is start-up time spent for nothing
+        rec_path, _ = simulate_small(tmp_path, congest=True)
+        routes, model = tmp_path / "routes.csv", tmp_path / "m.txt"
+        scored = tmp_path / "scored.csv"
+        argv_of = {
+            "infer-routes": ["infer-routes", "--records", str(rec_path),
+                             "--out-routes", str(routes), "--out-rejects", str(tmp_path / "rej.csv")],
+            "detect": ["detect", "--records", str(rec_path), "--routes", str(routes),
+                       "--model", str(model), "--out", str(scored)],
+            "localize": ["localize", "--scored", str(scored), "--routes", str(routes),
+                         "--out-report", str(tmp_path / "report.csv"),
+                         "--out-daily", str(tmp_path / "daily.csv")],
+        }
+        assert run(*argv_of["infer-routes"]) == 0
+        assert run("train", "--records", str(rec_path), "--routes", str(routes),
+                   "--out-model", str(model)) == 0
+        assert run(*argv_of["detect"]) == 0
+        out = fresh_interpreter(
+            "import json, sys\n"
+            "from flowanomaly.cli import run_command\n"
+            f"code = run_command({argv_of[command]!r})\n"
+            "print(json.dumps([code, [m for m in sys.modules if m.startswith('flowanomaly')]]))\n")
+        code, loaded = json.loads(out.splitlines()[-1])
+        assert code == 0
+        loaded = set(loaded)
+        assert ALWAYS_LOADED <= loaded
+        assert not loaded & {f"flowanomaly.{name}" for name in absent}
+
     def test_commands_without_seeded_draws_never_import_numpy(self, tmp_path):
         # importing numpy costs a large share of a short command's run time
         rec_path, _ = simulate_small(tmp_path)
@@ -650,16 +715,10 @@ class TestStartup:
              "--out-report", str(tmp_path / "report.csv"),
              "--out-daily", str(tmp_path / "daily.csv")],
         ]
-        script = (
+        out = fresh_interpreter(
             "import sys\n"
             "from flowanomaly.cli import run_command\n"
             f"codes = [run_command(argv) for argv in {argv_sets!r}]\n"
             "print('exit codes', codes, 'numpy loaded', 'numpy' in sys.modules)\n"
         )
-        src = str(Path(flowanomaly.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0] numpy loaded False"
+        assert out.splitlines()[-1] == "exit codes [0, 0, 0] numpy loaded False"

@@ -104,6 +104,7 @@ def test_smoothed_equals_dense_least_squares_with_penalty_rows(seed, psi):
     for key, c in want.items():
         assert math.isclose(model.c_by_segment[key], c, rel_tol=1e-9), key
     edge, _ = fit_edge_model(network, records, paths)
+    assert result.unsmoothed == edge  # the first solve is the edge fit, bit for bit
     assert max(abs(model.c_by_segment[k] / edge.c_by_segment[k] - 1.0) for k in keys) > 1e-6
     resid_sq = sum((r.observed_s - expected_time(model, p, r.distance_m)) ** 2
                    for r, p in zip(records, paths))

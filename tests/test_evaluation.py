@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from flowanomaly import evaluation
 from flowanomaly.core import build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
 from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
@@ -131,6 +132,25 @@ class TestKfold:
             by_fold.setdefault(row.fold, []).append(row.excluded)
         for excludeds in by_fold.values():
             assert len(set(excludeds)) == 1  # same test subset for every kind
+
+    def test_both_edge_kinds_come_from_one_fit_per_fold(self, monkeypatch):
+        cfg = SynthConfig(n_services=3, stops_per_service=6, shared_corridor_stops=3,
+                          n_records=300, noise_sigma2=0.05, seed=4)
+        truth = generate_network(cfg)
+        records, _ = generate_records(truth, cfg)
+        alone = {kind: kfold(truth.network, records, 3, [kind], psi=0.05, seed=6).rows
+                 for kind in ("edge", "smoothed-edge")}
+        calls = []
+        fit = evaluation.fit_edge_model
+        monkeypatch.setattr(evaluation, "fit_edge_model",
+                            lambda *args, **kw: calls.append(kw.get("psi")) or fit(*args, **kw))
+        for kinds in (["edge", "smoothed-edge"], ["smoothed-edge", "edge"]):
+            calls.clear()
+            rows = kfold(truth.network, records, 3, kinds, psi=0.05, seed=6).rows
+            assert calls == [0.05] * 3
+            assert [row.kind for row in rows] == kinds * 3
+            for kind in kinds:
+                assert [row for row in rows if row.kind == kind] == alone[kind]
 
     def test_unknown_kind_rejected(self):
         cfg = SynthConfig(n_services=1, stops_per_service=3, n_records=20,

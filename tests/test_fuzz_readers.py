@@ -8,6 +8,7 @@ field by field, since text from scratch rarely gets past a header check.
 
 import contextlib
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from flowanomaly.recordio import (
     RECORD_HEADER,
     ROUTES_HEADER,
     SCORED_HEADER,
+    read_lines,
     read_routes,
     read_significant,
 )
@@ -177,3 +179,96 @@ def test_model_key_may_not_repeat(tmp_path, text, line):
     with pytest.raises(ValueError) as info:
         load_model(str(path))
     assert str(info.value) == f"bad model line: {line!r}: repeats a {line.split()[0]} key"
+
+
+def whole_file_read_significant(path):
+    """The reader that read and split every line of the file first: the reference."""
+    body = [ln for ln in read_lines(path) if ln and not ln.startswith("#")]
+    if not body or body[0] != SCORED_HEADER:
+        raise ValueError(f"bad scored-file header in {path!r}")
+    for ln in body[1:]:
+        parts = ln.split(",")
+        if len(parts) != 10:
+            raise ValueError(f"bad scored row: {ln!r}")
+        if parts[9] == "1":
+            yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
+                   float(parts[8]))
+
+
+def outcome(reader, path):
+    """The rows a reader yields, by repr (a nan row equals itself), then its error."""
+    rows = []
+    try:
+        for row in reader(path):
+            rows.append(repr(row))
+    except ValueError as exc:
+        return rows, f"{type(exc).__name__}: {exc}"
+    return rows, None
+
+
+# Every break str.splitlines() knows; "\r" and "\r\n" are read as "\n".
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+COMMENTS = ["", "#", "# delta=0.5"]
+scored_line = st.one_of(
+    st.sampled_from(SCORED.splitlines()[2:]),  # flagged and unflagged rows, drawn
+    st.sampled_from(SCORED.splitlines()[2:]),  # twice as often as each other kind
+    st.sampled_from(COMMENTS),
+    st.sampled_from([" ", SCORED_HEADER, "r7,s1,a,c,0,1,1,1,nan,1", "r8,s1,a,c,0,1,1,1,x,1",
+                     "r9,s1,a,c,0,1,1,1,2.5", "a,b,c,d,e,f,g,h,i,j,1",
+                     "r1,s1,a,d,0,200,200,170,2.1,1 "]),
+    st.text(alphabet=st.sampled_from("01,#xa.\t \r\n\x85"), max_size=24),
+)
+
+
+@st.composite
+def scored_file(draw):
+    """Comments, blanks, good and bad rows after a header, joined by any break,
+    now and then without the header or with a byte that is not UTF-8."""
+    lines = draw(st.lists(st.sampled_from(COMMENTS), max_size=3))
+    if draw(st.integers(0, 5)):
+        lines.append(SCORED_HEADER)
+    lines += draw(st.lists(scored_line, max_size=12))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    data = text.encode("utf-8")
+    if not draw(st.integers(0, 5)):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(scored_file())
+def test_streaming_reader_matches_whole_file_reader(workdir, data):
+    path = workdir / "streamed-scored.csv"
+    path.write_bytes(data)
+    assert outcome(read_significant, str(path)) == outcome(whole_file_read_significant, str(path))
+
+
+def test_bad_row_past_the_first_block_raises_after_the_rows_before_it(tmp_path):
+    path = tmp_path / "scored.csv"
+    rows = [f"r{i},s1,a,c,0,{i + 1},1,1,{i},{i % 2}" for i in range(2000)]
+    path.write_text("\n".join([SCORED_HEADER, *rows, "r,s1,a,c,0,1,1,1,1", *rows]) + "\n")
+    rows_read, error = outcome(read_significant, str(path))
+    assert (rows_read, error) == outcome(whole_file_read_significant, str(path))
+    assert len(rows_read) == 1000 and error.startswith("ValueError: bad scored row")
+
+
+def test_memory_follows_the_flagged_rows_not_the_file(tmp_path):
+    path = tmp_path / "scored.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# delta=2\n{SCORED_HEADER}\n")
+        for i in range(100_000):  # 1% flagged
+            flag = int(i % 100 == 0)
+            fh.write(f"r{i:06d},s01,n{i % 7:02d},n{i % 7 + 3:02d},{i}.25,{i + 90}.5,"
+                     f"90.25,80.5,{1.5 + flag},{flag}\n")
+    tracemalloc.start()
+    try:
+        rows = list(read_significant(str(path)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1000
+    # the file's lines as strings take about 10 MB; the flagged rows held, under 1 MB
+    assert held < 1 << 20
+    assert peak < held + (256 << 10), (held, peak)
