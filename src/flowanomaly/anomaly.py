@@ -39,6 +39,8 @@ class DetectConfig:
     def __post_init__(self):
         if not 0.0 < self.delta_quantile < 1.0:
             raise ValueError("delta_quantile must be in (0, 1)")
+        if self.delta_override is not None and math.isnan(self.delta_override):
+            raise ValueError("delta_override must not be nan")  # +-inf keep all or none
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ crossval, detect, localize. Every random choice is seeded from explicit
 flags, so identical invocations produce byte-identical output files.
 
 Each flag is declared once: a subcommand's file flags in _SUBCOMMANDS, and its
-tunables in _tunables, which are also its config-file keys (TrainConfig's
-fields, and SynthConfig's defaults for simulate). The file formats live in
-recordio; this module parses flags, runs the library and prints the summaries.
+tunables in _tunables, which are also its config-file keys (psi and the
+_ASCENT_ONLY fields of TrainConfig, and SynthConfig's defaults for simulate).
+The file formats live in recordio; this module parses flags, runs the library
+and prints the summaries.
 
 A process imports the modules of the subcommand it runs and no others: only
 that subcommand's flags are declared, and each command imports its modules
@@ -56,22 +57,13 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _tunables(command: str) -> dict[str, tuple]:
     """A subcommand's tunables, each a flag and a config key, in flag order.
 
     dest -> (caster, default), each default read from the subcommand's config
-    class (TrainConfig's fields, cast by the type of their default; SynthConfig's
-    defaults for simulate). A None default means the flag is optional with no
-    value. Only the modules of that subcommand are imported.
+    class (TrainConfig's psi and _ASCENT_ONLY fields, cast by the type of their
+    default; SynthConfig's defaults for simulate). A None default means the flag
+    is optional with no value. Only the modules of that subcommand are imported.
     """
     eps_d = {"eps_d": (float, DEFAULT_DISTANCE_TOLERANCE_M)}
     if command == "simulate":
@@ -92,8 +84,6 @@ def _tunables(command: str) -> dict[str, tuple]:
             "day_start": (float, cfg.day_start_s),
             "day_seconds": (float, cfg.day_seconds),
             "congest_index": (int, None),
-            "congest_from": (str, None),
-            "congest_to": (str, None),
             "congest_start": (float, None),
             "congest_end": (float, None),
             "congest_factor": (float, None),
@@ -102,8 +92,8 @@ def _tunables(command: str) -> dict[str, tuple]:
         from .models import KIND_EDGE, MODEL_KINDS, TrainConfig
 
         # only psi reaches a fit; the others are the ascent's, which no subcommand runs
-        fit = {f.name: ({float: float, int: int, bool: _parse_bool}[type(f.default)], f.default)
-               for f in fields(TrainConfig)}
+        fit = {f.name: (type(f.default), f.default) for f in fields(TrainConfig)
+               if f.name == "psi" or f.name in _ASCENT_ONLY}
         if command == "train":
             return {"kind": (str, KIND_EDGE), **fit, **eps_d}
         return {"folds": (int, 5), "kinds": (str, ",".join(MODEL_KINDS)), "seed": (int, 0),
@@ -124,15 +114,13 @@ _HELP = {
     "out_sse": "epoch,sse: one row, the fit's sum of squared residuals",
     "kind": "one of baseline1, baseline2, edge, smoothed-edge",  # models.MODEL_KINDS; tested
     "eta": "step size",
-    "tau": "log-barrier strength",
     "psi": "smoothed-edge's penalty on speed differences of consecutive segments",
     "epochs": "passes over the records",
-    "c_min": "speed floor after each step",
     "shuffle_seed": "seed of each epoch's record order",
-    "variance_refresh": "keep the first sigma2 instead of re-estimating it each epoch",
 }
-# TrainConfig's fields but psi: the gradient ascent's, in their own help group.
-_ASCENT_ONLY = ("eta", "tau", "epochs", "c_min", "shuffle_seed", "variance_refresh")
+# The gradient ascent's TrainConfig fields that perfbench/run.py still passes, in
+# their own help group; the ascent's other fields keep their defaults.
+_ASCENT_ONLY = ("eta", "epochs", "shuffle_seed")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -155,6 +143,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, dest, caster(file_values[dest]))
         else:
             setattr(args, dest, default)
+    # nan would pass every distance check, inf or a negative one would fail them all
+    if "eps_d" in table and not 0 <= args.eps_d < math.inf:
+        raise ValueError(f"eps_d must be finite and >= 0, got {args.eps_d}")
 
 
 def _require_files(args: argparse.Namespace) -> None:
@@ -215,7 +206,7 @@ def _load_table(
 def _train_config(args: argparse.Namespace) -> models.TrainConfig:
     from .models import TrainConfig
 
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    return TrainConfig(psi=args.psi, **{name: getattr(args, name) for name in _ASCENT_ONLY})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -233,30 +224,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         day_start_s=args.day_start,
         day_seconds=args.day_seconds,
     )
-    wants_congestion = any(
-        v is not None
-        for v in (args.congest_index, args.congest_from, args.congest_to)
-    )
-    if wants_congestion:
-        if args.congest_start is None or args.congest_end is None or args.congest_factor is None:
+    congest = (args.congest_index, args.congest_start, args.congest_end, args.congest_factor)
+    if any(v is not None for v in congest) and None in congest:
+        raise ValueError(
+            "--congest-index, --congest-start, --congest-end and --congest-factor go together"
+        )
+    truth = synth.generate_network(cfg)
+    if args.congest_index is not None:  # the network's draws do not depend on the congestion
+        keys = sorted(truth.network.segments)
+        if not 0 <= args.congest_index < len(keys):
             raise ValueError(
-                "--congest-start, --congest-end and --congest-factor are required "
-                "with a congested segment"
+                f"--congest-index {args.congest_index} out of range 0..{len(keys) - 1}"
             )
-        if args.congest_index is not None:
-            truth0 = synth.generate_network(cfg)
-            keys = sorted(truth0.network.segments)
-            if not 0 <= args.congest_index < len(keys):
-                raise ValueError(
-                    f"--congest-index {args.congest_index} out of range 0..{len(keys) - 1}"
-                )
-            frm, to = keys[args.congest_index]
-        else:
-            if args.congest_from is None or args.congest_to is None:
-                raise ValueError("--congest-from and --congest-to go together")
-            frm, to = args.congest_from, args.congest_to
-        cfg = replace(
-            cfg,
+        frm, to = keys[args.congest_index]
+        truth = replace(
+            truth,
             congestion=synth.PlantedCongestion(
                 from_node=frm,
                 to_node=to,
@@ -265,7 +247,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 slowdown_factor=args.congest_factor,
             ),
         )
-    truth = synth.generate_network(cfg)
     records, truncated = synth.generate_records(truth, cfg)
     recordio.write_records(records, args.out_records)
     synth.write_truth(truth, args.out_truth)
@@ -349,15 +330,15 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     from . import anomaly, models
 
+    cfg = anomaly.DetectConfig(
+        delta_quantile=args.delta_quantile, delta_override=args.delta_override
+    )
     network = _network_from(args)
     model = models.load_model(args.model)
     table, rows, cols = _load_table(network, args.records, args.eps_d)
     if not rows:
         raise ValueError("no usable records after validation")
     expected, alphas = anomaly._deviations(model, cols)
-    cfg = anomaly.DetectConfig(
-        delta_quantile=args.delta_quantile, delta_override=args.delta_override
-    )
     delta = anomaly._cutoff(alphas, cfg)
     recordio.write_scored(table, rows, cols.observed, expected, alphas, delta, args.out)
     significant = sum(alpha > delta for alpha in alphas)
@@ -409,7 +390,7 @@ _SUBCOMMANDS = {  # name -> (function, help, file flags)
 
 
 def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
-    """One flag per tunable, the ascent's in their own group; a boolean gets --no-<name>."""
+    """One flag per tunable, the ascent's in their own group."""
     group = p
     if not table.keys().isdisjoint(_ASCENT_ONLY):
         group = p.add_argument_group(
@@ -419,15 +400,10 @@ def _add_tunables(p: argparse.ArgumentParser, table: dict[str, tuple]) -> None:
         )
     for dest, (caster, default) in table.items():
         target = group if dest in _ASCENT_ONLY else p
-        flag = dest.replace("_", "-")
         help_text = _HELP.get(dest)
-        if caster is _parse_bool:
-            target.add_argument(f"--no-{flag}", dest=dest, action="store_const",
-                                const=not default, help=help_text)
-        else:
-            if help_text is not None:
-                help_text += f" (default {default})"
-            target.add_argument(f"--{flag}", type=caster, help=help_text)
+        if help_text is not None:
+            help_text += f" (default {default})"
+        target.add_argument("--" + dest.replace("_", "-"), type=caster, help=help_text)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:

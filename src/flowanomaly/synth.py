@@ -51,6 +51,16 @@ class SynthConfig:
     day_seconds: float = 86400.0
 
     def __post_init__(self):
+        floats = {
+            "segment_length_range_m": self.segment_length_range_m,
+            "speed_range_mps": self.speed_range_mps,
+            "noise_sigma2": (self.noise_sigma2,),
+            "day_start_s": (self.day_start_s,),
+            "day_seconds": (self.day_seconds,),
+        }
+        for name, values in floats.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         if self.n_services < 1 or self.stops_per_service < 2:
             raise ValueError("need at least one service with two stops")
         lo, hi = self.segment_length_range_m

@@ -108,6 +108,15 @@ class TestFilterSignificant:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectConfig(delta_quantile=0.0)
+        # nan kept no row and printed delta=nan
+        with pytest.raises(ValueError, match="delta_override must not be nan"):
+            DetectConfig(delta_override=math.nan)
+
+    def test_infinite_override_keeps_all_or_none(self):
+        records = [scored(f"r{i}", "A", "B", 0.0, 10.0, alpha=float(i)) for i in range(3)]
+        kept, _ = filter_significant(records, DetectConfig(delta_override=-math.inf))
+        assert len(kept) == 3
+        assert filter_significant(records, DetectConfig(delta_override=math.inf))[0] == []
 
 
 class TestContains:

@@ -207,6 +207,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(stops_per_service=4, shared_corridor_stops=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma2", math.nan),
+        ("noise_sigma2", math.inf),
+        ("day_start_s", math.inf),
+        ("day_start_s", -math.inf),
+        ("day_seconds", math.nan),
+        ("day_seconds", math.inf),
+        ("segment_length_range_m", (400.0, math.inf)),
+    ])
+    def test_non_finite_float_names_its_field(self, field, value):
+        # these used to pass, and records or numpy's draws failed with an error
+        # that named neither the field nor the value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SynthConfig(**{field: value})
+
     def test_speed_above_physical_cap(self):
         with pytest.raises(ValueError):
             SynthConfig(speed_range_mps=(10.0, MAX_PHYSICAL_SPEED_MPS + 1.0))
