@@ -247,11 +247,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 slowdown_factor=args.congest_factor,
             ),
         )
-    records, truncated = synth.generate_records(truth, cfg)
-    recordio.write_records(records, args.out_records)
-    synth.write_truth(truth, args.out_truth)
+    # Records are written as they are drawn, into a sibling file that replaces
+    # the records file only once the whole day has been drawn and the truth
+    # written: a day that fails part way leaves neither file.
+    records = synth.RecordStream(truth, cfg)
+    partial = args.out_records + ".partial"
+    try:
+        recordio.write_records(records, partial)
+        synth.write_truth(truth, args.out_truth)
+        os.replace(partial, args.out_records)
+    finally:
+        if os.path.exists(partial):  # the day failed part way
+            os.remove(partial)
     print(
-        f"records={len(records)} truncated={truncated} "
+        f"records={cfg.n_records} truncated={records.truncated} "
         f"segments={len(truth.network.segments)} services={len(truth.network.routes)}"
     )
     return 0

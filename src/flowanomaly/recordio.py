@@ -20,7 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import count
+from itertools import chain, count
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .core import FlowRecord, NodeId, ServiceRoute, check_record
@@ -258,15 +258,18 @@ def write_lines(dest: str | IO[str], lines: Iterable[str]) -> None:
 
 
 def write_records(records: Iterable[FlowRecord], dest: str | IO[str]) -> None:
-    """Write records in the same format parse_records reads, bit-exact floats."""
-    lines = [",".join(RECORD_HEADER)]
-    for r in records:
-        lines.append(
-            f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
-            f"{format_float(r.t_start)},{format_float(r.t_end)},"
-            f"{format_float(r.distance_m)}"
-        )
-    write_lines(dest, lines)
+    """Write records in the same format parse_records reads, bit-exact floats.
+
+    Each record is formatted as it is written, so an iterator of records is
+    never held whole.
+    """
+    f = format_float
+    lines = (
+        f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
+        f"{f(r.t_start)},{f(r.t_end)},{f(r.distance_m)}"
+        for r in records
+    )
+    write_lines(dest, chain([",".join(RECORD_HEADER)], lines))
 
 
 def write_routes(routes: Iterable[ServiceRoute], dest: str | IO[str]) -> None:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 from .core import NetworkGraph, FlowRecord, NodeId, ServiceRoute, build_network
-from .recordio import format_float, write_lines
+from .recordio import _EPOCH_MAX, _EPOCH_MIN, format_float, write_lines
 
 # Per-segment times are truncated below at distance over this speed so a
 # Gaussian tail cannot produce superluminal (or negative) travel.
@@ -30,6 +30,9 @@ class PlantedCongestion:
     slowdown_factor: float
 
     def __post_init__(self):
+        for name in ("window_start", "window_end", "slowdown_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.slowdown_factor > 1:
             raise ValueError("slowdown_factor must be > 1")
         if not self.window_end > self.window_start:
@@ -81,6 +84,10 @@ class SynthConfig:
             raise ValueError("corridor must be shorter than the route")
         if self.day_seconds <= 0:
             raise ValueError("day_seconds must be positive")
+        day_end = self.day_start_s + self.day_seconds
+        if not (_EPOCH_MIN <= self.day_start_s and day_end < _EPOCH_MAX):  # recordio's range
+            raise ValueError("day_start_s and day_start_s + day_seconds must lie within "
+                             "years 1-9999 UTC")
 
 
 @dataclass(frozen=True)
@@ -158,45 +165,66 @@ def _congested_base_time(
         t = horizon
 
 
-def generate_records(
-    truth: SynthTruth, cfg: SynthConfig
-) -> tuple[list[FlowRecord], int]:
-    """Sample trip records under the truth; returns (records, truncation count).
+class RecordStream:
+    """The trip records of one seeded day, drawn as they are iterated.
 
     Boarding/alighting pairs are uniform over ordered stop pairs of a uniform
     service; each segment's time is Gaussian around its noise-free traversal
     with variance d*noise_sigma2, truncated below at d / MAX_PHYSICAL_SPEED_MPS.
     The planted segment runs at true speed over the slowdown factor while the
-    clock is inside the congestion window.
+    clock is inside the congestion window. Each pass draws the day afresh from
+    its seed, so every pass yields the same records, and `truncated` counts the
+    segment times the latest pass raised to their floor.
     """
-    import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
-    rng = np.random.default_rng((cfg.seed, 1))
-    services = sorted(truth.network.routes)
-    cong = truth.congestion
-    records = []
-    truncated = 0
-    for n in range(cfg.n_records):
-        route = truth.network.routes[services[rng.integers(len(services))]]
-        m = len(route.stops)
-        a, b = sorted(rng.choice(m, size=2, replace=False))
-        t_start = cfg.day_start_s + rng.uniform(0.0, cfg.day_seconds)
-        t_cur = t_start
-        for k in range(a, b):
-            seg = (route.stops[k], route.stops[k + 1])
-            d = route.cumulative_m[k + 1] - route.cumulative_m[k]
-            c = truth.true_speed[seg]
-            if cong is not None and seg == (cong.from_node, cong.to_node):
-                base = _congested_base_time(d, c, t_cur, cong)
-            else:
-                base = d / c
-            t_seg = base + rng.normal(0.0, math.sqrt(d * cfg.noise_sigma2))
-            floor = d / MAX_PHYSICAL_SPEED_MPS
-            if t_seg < floor:
-                t_seg = floor
-                truncated += 1
-            t_cur += t_seg
-        records.append(
-            FlowRecord(
+
+    def __init__(self, truth: SynthTruth, cfg: SynthConfig):
+        self.truth = truth
+        self.cfg = cfg
+        self.truncated = 0
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
+        truth, cfg, cong = self.truth, self.cfg, self.truth.congestion
+        planted = None if cong is None else (cong.from_node, cong.to_node)
+        # per service, in id order: its route and each segment's (d, c, sd, floor, congested)
+        tables = []
+        for service_id in sorted(truth.network.routes):
+            route = truth.network.routes[service_id]
+            segments = []
+            for k, seg in enumerate(zip(route.stops, route.stops[1:])):
+                d = route.cumulative_m[k + 1] - route.cumulative_m[k]
+                segments.append((d, truth.true_speed[seg], math.sqrt(d * cfg.noise_sigma2),
+                                 d / MAX_PHYSICAL_SPEED_MPS, seg == planted))
+            tables.append((route, segments))
+        rng = np.random.default_rng((cfg.seed, 1))
+        integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
+        n_services, day_start, span = len(tables), cfg.day_start_s, cfg.day_seconds
+        self.truncated = 0
+        # Each record takes the draws of a service index, choice(m, 2, replace=False),
+        # uniform(0, span) and one normal(0, sd) per segment, from cheaper calls that
+        # tests/test_synth.py holds equal. choice runs Floyd's algorithm: a draw below
+        # m - 1, then one below m that becomes m - 1 if it repeats the first, then one
+        # 32-bit draw that shuffles the pair, whose order (a, b) discards.
+        for n in range(cfg.n_records):
+            route, segments = tables[integers(n_services)]
+            m = len(route.stops)
+            i = int(integers(0, m - 1))
+            j = int(integers(0, m))
+            if j == i:
+                j = m - 1
+            integers(0, 2)
+            a, b = (i, j) if i < j else (j, i)
+            t_start = day_start + (0.0 + span * random())
+            t_cur = t_start
+            for (d, c, sd, floor, congested), z in zip(segments[a:b],
+                                                      standard_normal(b - a).tolist()):
+                base = _congested_base_time(d, c, t_cur, cong) if congested else d / c
+                t_seg = base + (0.0 + sd * z)
+                if t_seg < floor:
+                    t_seg = floor
+                    self.truncated += 1
+                t_cur += t_seg
+            yield FlowRecord(
                 record_id=f"r{n:06d}",
                 service_id=route.service_id,
                 origin=route.stops[a],
@@ -205,8 +233,17 @@ def generate_records(
                 t_end=t_cur,
                 distance_m=route.cumulative_m[b] - route.cumulative_m[a],
             )
-        )
-    return records, truncated
+
+
+def generate_records(
+    truth: SynthTruth, cfg: SynthConfig
+) -> tuple[list[FlowRecord], int]:
+    """Sample trip records under the truth; returns (records, truncation count).
+
+    The records are RecordStream's, in a list.
+    """
+    stream = RecordStream(truth, cfg)
+    return list(stream), stream.truncated
 
 
 def write_truth(truth: SynthTruth, dest: str | IO[str]) -> None:

@@ -130,6 +130,12 @@ class TestValidation:
                      id="day-seconds-nan"),
         pytest.param("simulate", ["--seg-len-max", "inf"],
                      "segment_length_range_m must be finite", id="seg-len-max-inf"),
+        pytest.param("simulate", ["--congest-index", "0", "--congest-start", "0",
+                                  "--congest-end", "inf", "--congest-factor", "inf"],
+                     "window_end must be finite", id="congestion-inf"),
+        pytest.param("simulate", ["--day-start", "1e12"],
+                     "day_start_s and day_start_s + day_seconds must lie within "
+                     "years 1-9999 UTC", id="day-start-1e12"),
     ])
     def test_non_finite_tunable_is_one_error_line(self, tmp_path, capsys, command, tunable,
                                                   want):
@@ -144,6 +150,17 @@ class TestValidation:
         assert run(command, *files, *tunable) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
         assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
+
+    def test_failed_day_leaves_no_file(self, tmp_path, capsys):
+        # 1 nm segments add no time to a 1.7e9 s clock, so the fourth record fails
+        # after three were drawn and written
+        code = run("simulate", "--out-records", str(tmp_path / "r.csv"),
+                   "--out-truth", str(tmp_path / "t.csv"), "--services", "2", "--stops", "4",
+                   "--seed", "1", "--seg-len-min", "1e-9", "--seg-len-max", "1e-9",
+                   "--day-start", "1.7e9")
+        assert code == 2
+        assert capsys.readouterr().err == "error: record 'r000003': t_end must exceed t_start\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_flag_tables_follow_the_config_classes(self):
         # cli names these without importing models, which only train and crossval load
@@ -757,3 +774,20 @@ class TestStartup:
             "print('exit codes', codes, 'numpy loaded', 'numpy' in sys.modules)\n"
         )
         assert out.splitlines()[-1] == "exit codes [0, 0, 0] numpy loaded False"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_simulate_peak_does_not_grow_with_its_records(tmp_path):
+    # records are written as they are drawn; when simulate built every record
+    # first, its peak grew by about 45 MB from 10k to 100k records
+    def peak_kb(n_records):
+        argv = ["simulate", "--out-records", str(tmp_path / "r.csv"),
+                "--out-truth", str(tmp_path / "t.csv"), "--services", "8", "--stops", "12",
+                "--n-records", str(n_records), "--seed", "1"]
+        out = fresh_interpreter(
+            "from flowanomaly.cli import run_command\n"
+            f"assert run_command({argv!r}) == 0\n"
+            "print(next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))\n")
+        return int(out.split()[-2])  # VmHWM: <n> kB
+
+    assert peak_kb(100_000) - peak_kb(10_000) < 4 * 1024

@@ -1,13 +1,17 @@
 import io
 import math
 
+import numpy as np
 import pytest
+
+import reference_synth
 
 from flowanomaly.core import resolve_paths
 from flowanomaly.models import TrainConfig, train_edge_model
 from flowanomaly.synth import (
     MAX_PHYSICAL_SPEED_MPS,
     PlantedCongestion,
+    RecordStream,
     SynthConfig,
     _congested_base_time,
     generate_network,
@@ -135,6 +139,103 @@ class TestGenerateRecords:
                 assert math.isclose(r.observed_s, normal, rel_tol=1e-12)
 
 
+def _hex(values):
+    """Floats as hex strings, so that equal means equal bits, the sign of zero too."""
+    return [float(v).hex() for v in values]
+
+
+class TestNumpyIdentities:
+    """The numpy draws RecordStream takes in place of the reference's calls.
+
+    Each pair must consume the same bits and return the same numbers on any
+    generator state, so other draws run in between. A numpy release that
+    changes one fails here by name, before any record differs.
+    """
+
+    SEEDS = range(40)
+
+    @staticmethod
+    def _other_draws(rngs, k):
+        # leave a 32-bit half buffered on odd k, so the pair draws start from both states
+        for rng in rngs:
+            rng.integers(0, 7, size=k % 3)
+            rng.standard_normal(k % 2)
+            rng.random()
+
+    def test_choice_of_two_is_floyd_and_one_shuffle_draw(self):
+        for seed in self.SEEDS:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for m in range(2, 41):
+                self._other_draws((want, got), m)
+                pair = sorted(want.choice(m, size=2, replace=False).tolist())
+                i, j = int(got.integers(0, m - 1)), int(got.integers(0, m))
+                if j == i:
+                    j = m - 1
+                got.integers(0, 2)
+                assert sorted((i, j)) == pair, (seed, m)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, m)
+
+    def test_normal_is_scaled_standard_normal(self):
+        for seed in self.SEEDS:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(1, 12):
+                self._other_draws((want, got), k)
+                sds = [0.0 if j % 3 == 0 else math.sqrt(j * 517.0 * 0.05) for j in range(k)]
+                drawn = [want.normal(0.0, sd) for sd in sds]
+                scaled = [0.0 + sd * z for sd, z in zip(sds, got.standard_normal(k).tolist())]
+                assert _hex(scaled) == _hex(drawn), (seed, k)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, k)
+
+    def test_uniform_is_scaled_random(self):
+        for seed in self.SEEDS:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k, span in enumerate((86400.0, 1.0, 3600.5, 1e-9, 3e11)):
+                self._other_draws((want, got), k)
+                assert _hex([0.0 + span * got.random()]) == _hex([want.uniform(0.0, span)])
+                assert got.bit_generator.state == want.bit_generator.state, (seed, span)
+
+
+class TestReferenceGenerator:
+    """RecordStream against the reference, which takes one numpy call per draw."""
+
+    CONFIGS = {
+        "default": SynthConfig(n_records=3000, seed=1),
+        "noiseless": SynthConfig(n_services=3, stops_per_service=6, n_records=2000,
+                                 noise_sigma2=0.0, seed=2),
+        "heavy-truncation": SynthConfig(n_services=2, stops_per_service=9, n_records=2000,
+                                        noise_sigma2=40.0, seed=3),
+        "two-stops": SynthConfig(n_services=5, stops_per_service=2, n_records=2000, seed=4),
+        "corridor": SynthConfig(n_services=4, stops_per_service=16, shared_corridor_stops=6,
+                                n_records=3000, noise_sigma2=0.2, seed=5),
+        "planted": SynthConfig(
+            n_services=3, stops_per_service=7, shared_corridor_stops=3, n_records=3000,
+            seed=6, day_start_s=1.7e9, day_seconds=20000.0,
+            congestion=PlantedCongestion("x00", "x01", 1.7e9 + 5000.0, 1.7e9 + 12000.0, 4.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_same_records_and_truncations(self, name):
+        cfg = self.CONFIGS[name]
+        truth = generate_network(cfg)
+        want_records, want_truncated = reference_synth.generate_records(truth, cfg)
+        records, truncated = generate_records(truth, cfg)
+        assert records == want_records
+        assert truncated == want_truncated
+        if name == "heavy-truncation":
+            assert truncated > 1000
+        if name == "planted":
+            assert any(r.t_start < cfg.congestion.window_end and
+                       r.t_end > cfg.congestion.window_start for r in records)
+
+    def test_stream_repeats_its_day(self):
+        cfg = self.CONFIGS["heavy-truncation"]
+        stream = RecordStream(generate_network(cfg), cfg)
+        first = list(stream)
+        truncated = stream.truncated
+        assert list(stream) == first
+        assert stream.truncated == truncated > 0
+
+
 class TestPiecewiseCongestion:
     CONG = PlantedCongestion("a", "b", 100.0, 200.0, 3.0)
 
@@ -229,3 +330,32 @@ class TestConfigValidation:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             PlantedCongestion("a", "b", 0.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("window_start, window_end, factor, field", [
+        (0.0, math.inf, math.inf, "window_end"),
+        (0.0, 10.0, math.inf, "slowdown_factor"),
+        (0.0, 10.0, math.nan, "slowdown_factor"),
+        (-math.inf, 10.0, 3.0, "window_start"),
+        (math.nan, 10.0, 3.0, "window_start"),
+    ])
+    def test_non_finite_congestion_names_its_field(self, window_start, window_end, factor,
+                                                   field):
+        # an infinite factor and window gave a congested speed of 0 and a nan time,
+        # which failed later as a record whose t_end did not exceed its t_start
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            PlantedCongestion("a", "b", window_start, window_end, factor)
+
+    @pytest.mark.parametrize("day_start, day_seconds", [
+        (1e12, 86400.0),
+        (-7e10, 86400.0),
+        (253402300800.0 - 86400.0, 86400.0),
+        (0.0, 3e11),
+    ])
+    def test_day_outside_the_readable_years(self, day_start, day_seconds):
+        # such a day wrote records that the reader then rejected, every one of them
+        with pytest.raises(ValueError, match="must lie within years 1-9999 UTC$"):
+            SynthConfig(day_start_s=day_start, day_seconds=day_seconds)
+
+    def test_day_at_the_edges_of_the_readable_years(self):
+        SynthConfig(day_start_s=-62135596800.0)
+        SynthConfig(day_start_s=253402300800.0 - 86401.0)
