@@ -23,7 +23,7 @@ from .core import FlowRecord, NetworkGraph, Path, Segment, resolve_paths
 from .errors import EmptyInput, ZeroVariance
 
 if TYPE_CHECKING:  # only score needs models at run time, so localize never loads it
-    from .models import Model, _Columns
+    from .models import Flows, Model
 
 PROVENANCE_WITNESS = "innermost-witness"
 PROVENANCE_SELF = "self-path"
@@ -59,15 +59,15 @@ class AnomalyReport:
     provenance: str
 
 
-def _deviations(model: Model, cols: _Columns) -> tuple[list[float], list[float]]:
-    """Per record of the columns, its expected time and its deviation ratio."""
+def _deviations(model: Model, flows: Flows) -> tuple[list[float], list[float]]:
+    """Per record of the flows, its expected time and its deviation ratio."""
     if model.sigma2 <= 0:
         raise ZeroVariance("sigma = 0: ratios are undefined (degenerate training)")
     sigma = math.sqrt(model.sigma2)
-    expected = cols.expected_times(model)
+    expected = flows.expected_times(model)
     alphas = [
         (t - expect) / (sigma * math.sqrt(d))
-        for t, expect, d in zip(cols.observed, expected, cols.distance)
+        for t, expect, d in zip(flows.observed, expected, flows.distance)
     ]
     return expected, alphas
 
@@ -76,10 +76,10 @@ def score(
     model: Model, records: Sequence[FlowRecord], network: NetworkGraph
 ) -> list[ScoredRecord]:
     """Attach a deviation ratio to every record."""
-    from .models import _Columns
+    from .models import Flows
 
     paths = resolve_paths(network, records)
-    expected, alphas = _deviations(model, _Columns.of(records, paths))
+    expected, alphas = _deviations(model, Flows.from_records(records, paths))
     return [
         ScoredRecord(record=r, path=p, alpha=alpha, expected_s=expect)
         for r, p, alpha, expect in zip(records, paths, alphas, expected)

@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from array import array
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -30,7 +29,6 @@ from .core import (
     DEFAULT_DISTANCE_TOLERANCE_M,
     NetworkGraph,
     FlowRecord,
-    Path,
     build_network,
     resolve_path,
     resolve_paths,  # noqa: F401 - perfbench/tracing.py wraps these two names here
@@ -168,39 +166,19 @@ def _network_from(args: argparse.Namespace) -> NetworkGraph:
 
 def _load_table(
     network: NetworkGraph, path: str, eps_d: float
-) -> tuple[recordio.RecordTable, list[int], models._Columns]:
-    """The parsed table, the rows that resolve cleanly on the network, and their columns.
+) -> tuple[recordio.RecordTable, list[int], models.Flows]:
+    """The parsed table, the rows that resolve cleanly on the network, and their flows.
 
-    Prints the parse rejects and the skipped count. Each distinct (service,
-    origin, destination) is resolved once; only validate_record's distance
-    check runs per row.
+    Prints the parse rejects and the skipped count.
     """
-    from .models import _Columns
+    from .models import Flows
 
     table, rejects = recordio.read_table(path)
     _print_rejects(rejects)
-    by_key: list[Path | None] = []
-    for key in table.keys:
-        try:
-            by_key.append(resolve_path(network, *key))
-        except FlowError:
-            by_key.append(None)
-    rows, paths = [], []
-    for i, (k, d) in enumerate(zip(table.key_of, table.distance)):
-        path = by_key[k]
-        if path is not None and not abs(path.distance_m - d) > eps_d:
-            rows.append(i)
-            paths.append(path)
+    flows, rows = Flows.from_table(table, network, eps_d)
     if len(rows) < len(table):
         print(f"skipped_unresolvable={len(table) - len(rows)}", file=sys.stderr)
-    t_start, t_end = table.t_start, table.t_end
-    cols = _Columns(
-        list(map(table.record_ids.__getitem__, rows)),
-        array("d", [t_end[i] - t_start[i] for i in rows]),
-        list(map(table.distance.__getitem__, rows)),
-        paths,
-    )
-    return table, rows, cols
+    return table, rows, flows
 
 
 def _train_config(args: argparse.Namespace) -> models.TrainConfig:
@@ -290,17 +268,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     cfg = _train_config(args)  # validates the ascent's flags too, though no kind reads them
     network = _network_from(args)
-    _, _, cols = _load_table(network, args.records, args.eps_d)
-    if not cols:
-        raise ValueError("no usable records after validation")
+    _, _, flows = _load_table(network, args.records, args.eps_d)
     sse = None  # a closed-form edge fit has its own; a baseline's is summed when asked for
     if args.kind == models.KIND_BASELINE1:
-        model: models.Model = models.fit_baseline1(cols)
+        model: models.Model = models.fit_baseline1(flows)
     elif args.kind == models.KIND_BASELINE2:
-        model = models.fit_baseline2(cols)
+        model = models.fit_baseline2(flows)
     else:
         smoothed = args.kind == models.KIND_SMOOTHED
-        model, trail = models.fit_edge_model(network, cols, psi=cfg.psi if smoothed else 0.0)
+        model, trail = models.fit_edge_model(network, flows, psi=cfg.psi if smoothed else 0.0)
         model.smoothed = smoothed
         [sse] = trail.sse_by_epoch
         for name in ("untraversed", "unidentifiable", "nonpositive"):
@@ -310,9 +286,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 print(f"{name} {frm} {to}")
     models.save_model(model, args.out_model)
     if args.out_sse:
-        sse = models.sse(model, cols) if sse is None else sse
+        sse = models.sse(model, flows) if sse is None else sse
         write_lines(args.out_sse, ["epoch,sse", f"0,{_fmt(sse)}"])
-    print(f"trained kind={args.kind} records={len(cols)} sigma2={_fmt(model.sigma2)}")
+    print(f"trained kind={args.kind} records={len(flows)} sigma2={_fmt(model.sigma2)}")
     return 0
 
 
@@ -322,8 +298,8 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     cfg = _train_config(args)
     network = _network_from(args)
-    _, _, cols = _load_table(network, args.records, args.eps_d)
-    result = evaluation.kfold(network, cols, args.folds, kinds, cfg.psi, args.seed)
+    _, _, flows = _load_table(network, args.records, args.eps_d)
+    result = evaluation.kfold(network, flows, args.folds, kinds, cfg.psi, args.seed)
     lines = ["fold,kind,train_rmse,test_rmse,excluded"]
     for row in result.rows:
         lines.append(
@@ -344,12 +320,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     )
     network = _network_from(args)
     model = models.load_model(args.model)
-    table, rows, cols = _load_table(network, args.records, args.eps_d)
-    if not rows:
-        raise ValueError("no usable records after validation")
-    expected, alphas = anomaly._deviations(model, cols)
+    table, rows, flows = _load_table(network, args.records, args.eps_d)
+    expected, alphas = anomaly._deviations(model, flows)
     delta = anomaly._cutoff(alphas, cfg)
-    recordio.write_scored(table, rows, cols.observed, expected, alphas, delta, args.out)
+    recordio.write_scored(table, rows, flows.observed, expected, alphas, delta, args.out)
     significant = sum(alpha > delta for alpha in alphas)
     print(f"scored={len(rows)} significant={significant} delta={_fmt(delta)}")
     return 0

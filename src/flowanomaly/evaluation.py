@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import NetworkGraph, Path, left_sum, resolve_paths
+from .core import NetworkGraph, left_sum
+from .core import resolve_paths  # noqa: F401 - perfbench/tracing.py wraps this name here
 from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
@@ -14,9 +15,8 @@ from .models import (
     KIND_EDGE,
     KIND_SMOOTHED,
     MODEL_KINDS,
+    Flows,
     Model,
-    Records,
-    _Columns,
     fit_baseline1,
     fit_baseline2,
     fit_edge_model,
@@ -54,13 +54,13 @@ class CrossValResult:
         return left_sum(values) / len(values)
 
 
-def rmse(model: Model, records: Records, paths: Sequence[Path] | None = None) -> float:
-    if not records:
+def rmse(model: Model, flows: Flows) -> float:
+    if not flows:
         raise EmptyInput("rmse needs records")
-    return math.sqrt(sse(model, records, paths) / len(records))
+    return math.sqrt(sse(model, flows) / len(flows))
 
 
-def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
+def make_folds(flows: Flows, k: int, seed: int) -> FoldSplit:
     """Seeded uniform shuffle then round-robin; fold sizes differ by at most 1.
 
     A record id that repeats takes the fold of its last position in the shuffle,
@@ -68,40 +68,37 @@ def make_folds(records: Records, k: int, seed: int) -> FoldSplit:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if len(records) < k:
-        raise TooFewRecords(len(records), k)
-    if isinstance(records, _Columns):
-        record_ids = records.record_ids
-    else:
-        record_ids = [r.record_id for r in records]
+    if len(flows) < k:
+        raise TooFewRecords(len(flows), k)
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
+    order = rng.permutation(len(flows))
+    record_ids = flows.record_ids
     assignments = {record_ids[idx]: pos % k for pos, idx in enumerate(order)}
     return FoldSplit(k=k, assignments=assignments, seed=seed)
 
 
 def _fit_kind(
-    kind: str, kinds: Sequence[str], network: NetworkGraph, cols: _Columns, psi: float
+    kind: str, kinds: Sequence[str], network: NetworkGraph, flows: Flows, psi: float
 ) -> dict[str, Model]:
-    """The kind's model on the columns, by kind.
+    """The kind's model on the flows, by kind.
 
     With both edge kinds in `kinds`, one normal matrix serves the two: the
     smoothed-edge fit's first solve is the edge fit, bit for bit.
     """
     if kind == KIND_BASELINE1:
-        return {kind: fit_baseline1(cols)}
+        return {kind: fit_baseline1(flows)}
     if kind == KIND_BASELINE2:
-        return {kind: fit_baseline2(cols)}
+        return {kind: fit_baseline2(flows)}
     if KIND_SMOOTHED in kinds:
-        smoothed, trail = fit_edge_model(network, cols, psi=psi)
+        smoothed, trail = fit_edge_model(network, flows, psi=psi)
         return {KIND_SMOOTHED: smoothed, KIND_EDGE: trail.unsmoothed}
-    return {kind: fit_edge_model(network, cols)[0]}
+    return {kind: fit_edge_model(network, flows)[0]}
 
 
 def kfold(
     network: NetworkGraph,
-    records: Records,
+    flows: Flows,
     k: int,
     model_kinds: Sequence[str],
     psi: float,
@@ -117,27 +114,24 @@ def kfold(
     test records are all excluded raises EmptyInput, naming the fold, and so does
     a fold that holds every record (records with a repeated id share a fold).
 
-    The records' columns are built once; each fold's train and test sets are
-    views of them in the records' order.
+    Each fold's train and test sets are views of the flows, in their order.
     """
     for kind in model_kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-    split = make_folds(records, k, seed)
-    paths = None if isinstance(records, _Columns) else resolve_paths(network, records)
-    cols = _Columns.of(records, paths)
-    fold_of = [split.assignments[record_id] for record_id in cols.record_ids]
+    split = make_folds(flows, k, seed)
+    fold_of = [split.assignments[record_id] for record_id in flows.record_ids]
     result = CrossValResult()
     for fold in range(k):
-        train = cols.view([i for i, f in enumerate(fold_of) if f != fold])
+        train = flows.view([i for i, f in enumerate(fold_of) if f != fold])
         covered = set(train.keys)
-        seen = [all(cols.keys[s] in covered for s in segs) for segs in cols.segs]
+        seen = [all(flows.keys[s] in covered for s in segs) for segs in flows.segs]
         test_rows = [i for i, f in enumerate(fold_of) if f == fold]
-        test = cols.view([i for i in test_rows if seen[cols.path_of[i]]])
+        test = flows.view([i for i in test_rows if seen[flows.path_of[i]]])
         excluded = len(test_rows) - len(test)
         if model_kinds and not train:
             raise EmptyInput(
-                f"fold {fold} has every one of the {len(cols)} records and none to train on: "
+                f"fold {fold} has every one of the {len(flows)} records and none to train on: "
                 "records that share a record id share a fold; fewer folds or distinct "
                 "record ids would help"
             )

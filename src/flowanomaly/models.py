@@ -11,14 +11,18 @@ gradient ascent (train_edge_model, with TrainConfig's knobs) remains the
 reference that the gradient, convergence and speed-recovery tests exercise; no
 subcommand runs it.
 
-Training and residuals run on a columnar view (_Columns) of interned segment
-positions, with one expected time per distinct path. Output stays byte-identical
-only while float sums are left-to-right += and squares are ** 2: on CPython 3.11,
-x ** 2 != x * x on 73 of 100k normal draws and np.add.reduceat differed from the
-left-to-right sum on 699 of 2000 random 1-15-segment paths; sum() of floats
-compensates from Python 3.12 on, so sums go through left_sum. The same holds for
-a view (kfold's folds): it keeps its records' order and copies their stored
-floats, so its sums add the values a record list would, in the same order.
+Every fit, fold and residual takes a Flows: records on their resolved paths,
+as columns of interned segment positions with one expected time per distinct
+path. Flows.from_table builds it from a parsed RecordTable and a network,
+keeping the rows that resolve within the distance tolerance; Flows.from_records
+builds it from a FlowRecord list and its parallel paths. Output stays
+byte-identical only while float sums are left-to-right += and squares are ** 2:
+on CPython 3.11, x ** 2 != x * x on 73 of 100k normal draws and np.add.reduceat
+differed from the left-to-right sum on 699 of 2000 random 1-15-segment paths;
+sum() of floats compensates from Python 3.12 on, so sums go through left_sum.
+The same holds for a view (kfold's folds): it keeps its records' order and
+copies their stored floats, so its sums add the values a record list would, in
+the same order.
 """
 
 from __future__ import annotations
@@ -29,14 +33,16 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import IO, Sequence, Union
 
-from .core import NetworkGraph, FlowRecord, NodeId, Path, Segment, left_sum, resolve_paths
+from .core import FlowRecord, NetworkGraph, NodeId, Path, Segment, left_sum, resolve_path
+from .core import resolve_paths  # noqa: F401 - perfbench/tracing.py wraps this name here
 from .errors import (
     EmptyInput,
+    FlowError,
     MissingSegmentSpeed,
     NonPositiveVariance,
     SegmentNotOnPath,
 )
-from .recordio import format_float, read_lines, write_lines
+from .recordio import RecordTable, format_float, read_lines, write_lines
 
 KIND_BASELINE1 = "baseline1"
 KIND_BASELINE2 = "baseline2"
@@ -145,36 +151,134 @@ def path_key(path: Path) -> str:
     return ">".join(path.nodes)
 
 
-def fit_baseline1(records: Records) -> Baseline1Model:
+class Flows:
+    """Records on their resolved paths, as columns: the input of every fit, fold and residual.
+
+    Build one with from_table (a parsed RecordTable on a network, as the CLI
+    does) or from_records (a FlowRecord list and its parallel paths). Record k
+    has record_ids[k], record_paths[k], path_of[k], observed[k] (its
+    observed_s, in a float array) and distance[k]; distinct Path object j (in
+    order of first use) is paths[j], with segs[j] (speed positions) and
+    dists[j]; keys[i] is the segment that owns speed position i.
+    """
+
+    def __init__(self, record_ids: list[str], observed: array, distance: list[float],
+                 paths: Sequence[Path]):
+        self.record_ids, self.observed, self.distance = record_ids, observed, distance
+        self.record_paths = paths
+        first: dict[int, int] = {}
+        self.path_of = [first.setdefault(id(p), len(first)) for p in paths]
+        self.paths = list({id(p): p for p in paths}.values())
+        index: dict[tuple[NodeId, NodeId], int] = {}
+        # lists: resized tuple(generator) rows piled up in CPython's tuple free lists
+        self.segs = [[index.setdefault(s.key, len(index)) for s in p.segments]
+                     for p in self.paths]
+        self.dists = [[s.distance_m for s in p.segments] for p in self.paths]
+        self.keys = list(index)
+
+    @classmethod
+    def from_table(cls, table: RecordTable, network: NetworkGraph,
+                   eps_d: float) -> tuple[Flows, list[int]]:
+        """The table rows that resolve on the network, and those rows' indices.
+
+        A row is kept when its (service, origin, destination) resolves and its
+        distance is within eps_d of its path's. Each distinct key is resolved
+        once; only the distance check runs per row. A table with no row kept
+        raises EmptyInput.
+        """
+        by_key: list[Path | None] = []
+        for key in table.keys:
+            try:
+                by_key.append(resolve_path(network, *key))
+            except FlowError:
+                by_key.append(None)
+        rows, paths = [], []
+        for i, (k, d) in enumerate(zip(table.key_of, table.distance)):
+            path = by_key[k]
+            if path is not None and not abs(path.distance_m - d) > eps_d:
+                rows.append(i)
+                paths.append(path)
+        if not rows:
+            raise EmptyInput(
+                f"no usable records after validation (skipped_unresolvable={len(table)})"
+            )
+        t_start, t_end = table.t_start, table.t_end
+        flows = cls(
+            list(map(table.record_ids.__getitem__, rows)),
+            array("d", [t_end[i] - t_start[i] for i in rows]),
+            list(map(table.distance.__getitem__, rows)),
+            paths,
+        )
+        return flows, rows
+
+    @classmethod
+    def from_records(cls, records: Sequence[FlowRecord], paths: Sequence[Path]) -> Flows:
+        """The records on their paths, paths[k] being records[k]'s."""
+        if len(records) != len(paths):
+            raise ValueError("records and paths must be parallel")
+        return cls(
+            [r.record_id for r in records],
+            array("d", [r.t_end - r.t_start for r in records]),
+            [r.distance_m for r in records],
+            paths,
+        )
+
+    def __len__(self) -> int:
+        return len(self.path_of)
+
+    def view(self, rows: Sequence[int]) -> Flows:
+        """The given records, in the given order: the Flows of those records and paths."""
+        return Flows(
+            list(map(self.record_ids.__getitem__, rows)),
+            array("d", map(self.observed.__getitem__, rows)),
+            list(map(self.distance.__getitem__, rows)),
+            list(map(self.record_paths.__getitem__, rows)),
+        )
+
+    def expected_times(self, model: Model) -> list[float]:
+        """Per record, from one sum (edge model) or one speed (baseline) per distinct path."""
+        if isinstance(model, EdgeModel):
+            by_path = [expected_time(model, p, 0.0) for p in self.paths]
+            return [by_path[j] for j in self.path_of]
+        speed = [_path_speed(model, p) for p in self.paths]
+        return [d / speed[j] for j, d in zip(self.path_of, self.distance)]
+
+
+def _need_flows(flows: Flows) -> None:
+    """A FlowRecord list passed where a Flows belongs is one ValueError, not an AttributeError."""
+    if not isinstance(flows, Flows):
+        raise ValueError("a record list needs its paths: pass Flows.from_records(records, paths)")
+
+
+def _need_records(flows: Flows, caller: str) -> None:
+    _need_flows(flows)
+    if not flows:
+        raise EmptyInput(f"{caller} needs records")
+
+
+def fit_baseline1(flows: Flows) -> Baseline1Model:
     """Closed-form global speed: total distance over total observed time."""
-    if not records:
-        raise EmptyInput("fit_baseline1 needs records")
-    if isinstance(records, _Columns):  # no paths needed, so no _Columns.of
-        observed, distance = records.observed, records.distance
-    else:
-        observed = [r.observed_s for r in records]
-        distance = [r.distance_m for r in records]
+    _need_records(flows, "fit_baseline1")
+    observed, distance = flows.observed, flows.distance
     total_d = left_sum(distance)
     c = total_d / left_sum(observed)
     sigma2 = left_sum((t - d / c) ** 2 for t, d in zip(observed, distance)) / total_d
     return Baseline1Model(c=c, sigma2=sigma2)
 
 
-def fit_baseline2(records: Records, paths: Sequence[Path] | None = None) -> Baseline2Model:
+def fit_baseline2(flows: Flows) -> Baseline2Model:
     """Closed-form per-path speeds with a variance pooled across paths."""
-    if not records:
-        raise EmptyInput("fit_baseline2 needs records")
-    cols = _Columns.of(records, paths)
-    key_of = [path_key(p) for p in cols.paths]
+    _need_records(flows, "fit_baseline2")
+    key_of = [path_key(p) for p in flows.paths]
     sums: dict[str, tuple[float, float]] = {}
-    for j, d_r, t_r in zip(cols.path_of, cols.distance, cols.observed):
+    for j, d_r, t_r in zip(flows.path_of, flows.distance, flows.observed):
         key = key_of[j]
         d, t = sums.get(key, (0.0, 0.0))
         sums[key] = (d + d_r, t + t_r)
     c_by_path = {key: d / t for key, (d, t) in sums.items()}
-    fallback = left_sum(cols.distance) / left_sum(cols.observed)
+    fallback = left_sum(flows.distance) / left_sum(flows.observed)
     model = Baseline2Model(c_by_path=c_by_path, sigma2=0.0, fallback_c=fallback)
-    resid_sq, total_d = _residual_pass(model, cols)
+    resid_sq, total_d = _residual_pass(model, flows)
     model.sigma2 = resid_sq / total_d
     return model
 
@@ -268,107 +372,35 @@ def gradient(
     return _partials(dists, speeds, base, cfg.tau, psi)[keys.index(key)]
 
 
-def init_edge_model(g: NetworkGraph, records: Records, smoothed: bool = False) -> EdgeModel:
+def init_edge_model(g: NetworkGraph, flows: Flows, smoothed: bool = False) -> EdgeModel:
     """Start every segment at the global speed, variance at the global fit's."""
-    if not records:
-        raise EmptyInput("init_edge_model needs records")
-    base = fit_baseline1(records)
+    _need_records(flows, "init_edge_model")
+    base = fit_baseline1(flows)
     speeds = {key: base.c for key in g.segments}
     return EdgeModel(c_by_segment=speeds, sigma2=base.sigma2, smoothed=smoothed)
 
 
-class _Columns:
-    """Records on their resolved paths as columns.
-
-    keys[i] owns speed position i; distinct Path object j (in order of first
-    use) has segs[j] (positions) and dists[j]; record k has record_ids[k],
-    record_paths[k], path_of[k], observed[k] (its observed_s, in a float array)
-    and distance[k]. Every function that takes records and paths also takes a
-    _Columns in their place, the way the CLI and kfold call them.
-    """
-
-    def __init__(self, record_ids: list[str], observed: array, distance: list[float],
-                 paths: Sequence[Path]):
-        self.record_ids, self.observed, self.distance = record_ids, observed, distance
-        self.record_paths = paths
-        first: dict[int, int] = {}
-        self.path_of = [first.setdefault(id(p), len(first)) for p in paths]
-        self.paths = list({id(p): p for p in paths}.values())
-        index: dict[tuple[NodeId, NodeId], int] = {}
-        # lists: resized tuple(generator) rows piled up in CPython's tuple free lists
-        self.segs = [[index.setdefault(s.key, len(index)) for s in p.segments]
-                     for p in self.paths]
-        self.dists = [[s.distance_m for s in p.segments] for p in self.paths]
-        self.keys = list(index)
-
-    @classmethod
-    def of(cls, records: Records, paths: Sequence[Path] | None) -> _Columns:
-        """A _Columns as it is; a record list on its paths as a new _Columns."""
-        if isinstance(records, cls):
-            return records
-        if paths is None:
-            raise ValueError("a record list needs its paths: pass paths, or a _Columns")
-        if len(records) != len(paths):
-            raise ValueError("records and paths must be parallel")
-        return cls(
-            [r.record_id for r in records],
-            array("d", [r.t_end - r.t_start for r in records]),
-            [r.distance_m for r in records],
-            paths,
-        )
-
-    def __len__(self) -> int:
-        return len(self.path_of)
-
-    def view(self, rows: Sequence[int]) -> _Columns:
-        """The given records, in the given order: the _Columns of those records and paths."""
-        return _Columns(
-            list(map(self.record_ids.__getitem__, rows)),
-            array("d", map(self.observed.__getitem__, rows)),
-            list(map(self.distance.__getitem__, rows)),
-            list(map(self.record_paths.__getitem__, rows)),
-        )
-
-    def expected_times(self, model: Model) -> list[float]:
-        """Per record, from one sum (edge model) or one speed (baseline) per distinct path."""
-        if isinstance(model, EdgeModel):
-            by_path = [expected_time(model, p, 0.0) for p in self.paths]
-            return [by_path[j] for j in self.path_of]
-        speed = [_path_speed(model, p) for p in self.paths]
-        return [d / speed[j] for j, d in zip(self.path_of, self.distance)]
-
-
-# FlowRecords with their paths alongside, or a _Columns, which carries its own.
-Records = Union[Sequence[FlowRecord], _Columns]
-
-
-def _residual_pass(model: Model, cols: _Columns) -> tuple[float, float]:
+def _residual_pass(model: Model, flows: Flows) -> tuple[float, float]:
     """Sum of squared residuals and total distance, each summed left to right."""
-    resid = zip(cols.observed, cols.expected_times(model))
-    return left_sum((t - expect) ** 2 for t, expect in resid), left_sum(cols.distance)
+    _need_flows(flows)
+    resid = zip(flows.observed, flows.expected_times(model))
+    return left_sum((t - expect) ** 2 for t, expect in resid), left_sum(flows.distance)
 
 
-def sse(model: Model, records: Records, paths: Sequence[Path] | None = None) -> float:
+def sse(model: Model, flows: Flows) -> float:
     """Sum of squared residuals between expected and observed times."""
-    return _residual_pass(model, _Columns.of(records, paths))[0]
+    return _residual_pass(model, flows)[0]
 
 
-def estimate_variance(
-    model: Model, records: Records, paths: Sequence[Path] | None = None
-) -> float:
+def estimate_variance(model: Model, flows: Flows) -> float:
     """Residual-based variance: sum of squared residuals over total distance."""
-    if not records:
-        raise EmptyInput("estimate_variance needs records")
-    resid_sq, total_d = _residual_pass(model, _Columns.of(records, paths))
+    _need_records(flows, "estimate_variance")
+    resid_sq, total_d = _residual_pass(model, flows)
     return resid_sq / total_d
 
 
 def sgd_epoch(
-    model: EdgeModel,
-    records: Records,
-    paths: Sequence[Path] | None,
-    cfg: TrainConfig,
-    epoch: int = 0,
+    model: EdgeModel, flows: Flows, cfg: TrainConfig, epoch: int = 0
 ) -> tuple[EdgeModel, float]:
     """One ascent pass over the records in a seeded random order.
 
@@ -377,56 +409,47 @@ def sgd_epoch(
     whose variance sits below SIGMA2_FLOOR is treated as converged and the
     pass leaves the speeds in place. With variance_refresh the variance is
     re-estimated at epoch end. Returns the model and the post-epoch sum of
-    squared residuals. train_edge_model passes its _Columns, built once per fit.
+    squared residuals.
     """
-    if not records:
-        raise EmptyInput("sgd_epoch needs records")
-    cols = _Columns.of(records, paths)
+    _need_records(flows, "sgd_epoch")
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
-    order = rng.permutation(len(records)).tolist() if model.sigma2 >= SIGMA2_FLOOR else ()
+    order = rng.permutation(len(flows)).tolist() if model.sigma2 >= SIGMA2_FLOOR else ()
     try:  # the first gap in key order is the first a record-order pass meets
-        speeds = [model.c_by_segment[key] for key in cols.keys]
+        speeds = [model.c_by_segment[key] for key in flows.keys]
     except KeyError as exc:
         raise MissingSegmentSpeed(*exc.args[0]) from None
     psi = cfg.psi if model.smoothed else 0.0
     for k in order:
-        j = cols.path_of[k]
-        segs, dists = cols.segs[j], cols.dists[j]
+        j = flows.path_of[k]
+        segs, dists = flows.segs[j], flows.dists[j]
         before = [speeds[i] for i in segs]
         expect = left_sum(d / c for d, c in zip(dists, before))
-        base = (cols.observed[k] - expect) / (cols.distance[k] * model.sigma2)
+        base = (flows.observed[k] - expect) / (flows.distance[k] * model.sigma2)
         for i, c, grad in zip(segs, before, _partials(dists, before, base, cfg.tau, psi)):
             updated = c + cfg.eta * grad
             speeds[i] = updated if updated > cfg.c_min else cfg.c_min
-    model.c_by_segment.update(zip(cols.keys, speeds))
-    resid_sq, total_d = _residual_pass(model, cols)
+    model.c_by_segment.update(zip(flows.keys, speeds))
+    resid_sq, total_d = _residual_pass(model, flows)
     if cfg.variance_refresh:
         model.sigma2 = resid_sq / total_d
     return model, resid_sq
 
 
 def train_edge_model(
-    g: NetworkGraph,
-    records: Records,
-    cfg: TrainConfig,
-    smoothed: bool = False,
-    paths: Sequence[Path] | None = None,
+    g: NetworkGraph, flows: Flows, cfg: TrainConfig, smoothed: bool = False
 ) -> tuple[EdgeModel, TrainResult]:
     """Initialize from the global fit and run cfg.epochs ascent passes."""
-    if paths is None and not isinstance(records, _Columns):
-        paths = resolve_paths(g, records)
-    cols = _Columns.of(records, paths)
-    model = init_edge_model(g, cols, smoothed=smoothed)
-    result = TrainResult(untraversed=_untraversed(g, cols))
-    for epoch in range(cfg.epochs):  # paths too: perfbench counts segment updates from them
-        model, sse = sgd_epoch(model, cols, cols.record_paths, cfg, epoch=epoch)
+    model = init_edge_model(g, flows, smoothed=smoothed)
+    result = TrainResult(untraversed=_untraversed(g, flows))
+    for epoch in range(cfg.epochs):
+        model, sse = sgd_epoch(model, flows, cfg, epoch=epoch)
         result.sse_by_epoch.append(sse)
     return model, result
 
 
-def _untraversed(g: NetworkGraph, cols: _Columns) -> tuple[tuple[NodeId, NodeId], ...]:
-    return tuple(sorted(set(g.segments) - set(cols.keys)))
+def _untraversed(g: NetworkGraph, flows: Flows) -> tuple[tuple[NodeId, NodeId], ...]:
+    return tuple(sorted(set(g.segments) - set(flows.keys)))
 
 
 # A segment whose unit vector has a null-space component above this norm is
@@ -436,7 +459,7 @@ NULL_COMPONENT_TOL = 1e-6
 
 
 def fit_edge_model(
-    g: NetworkGraph, records: Records, paths: Sequence[Path] | None = None, psi: float = 0.0
+    g: NetworkGraph, flows: Flows, psi: float = 0.0
 ) -> tuple[EdgeModel, TrainResult]:
     """Maximum-likelihood segment speeds in closed form: weighted least squares in slowness.
 
@@ -467,24 +490,20 @@ def fit_edge_model(
     solve, of N + mu * L with L the Laplacian of the n_ij, fits it: L s0 = 0, and
     L's null space (constant along chained segments) meets N's only at 0.
     """
-    if not records:
-        raise EmptyInput("fit_edge_model needs records")
+    _need_records(flows, "fit_edge_model")
     if not 0.0 <= psi < math.inf:
         raise ValueError("psi must be finite and >= 0")
-    if paths is None and not isinstance(records, _Columns):
-        paths = resolve_paths(g, records)
-    cols = _Columns.of(records, paths)
-    base = fit_baseline1(cols)
+    base = fit_baseline1(flows)
     import numpy as np  # imported here, as for the seeded draws: numpy is slow to load
-    distance = np.array(cols.distance)  # every record distance is > 0 (check_record)
-    path_of = np.array(cols.path_of)
+    distance = np.array(flows.distance)  # every record distance is > 0 (check_record)
+    path_of = np.array(flows.path_of)
     w = np.bincount(path_of, 1.0 / distance)
-    u = np.bincount(path_of, np.frombuffer(cols.observed) / distance)
+    u = np.bincount(path_of, np.frombuffer(flows.observed) / distance)
     crossings = np.bincount(path_of).tolist()  # records per path
-    n_seg = len(cols.keys)
+    n_seg = len(flows.keys)
     normal, rhs, length = np.zeros((n_seg, n_seg)), np.zeros(n_seg), np.zeros(n_seg)
     pairs = np.zeros((n_seg, n_seg)) if psi else None  # n_ij, for i before j
-    for segs, dists, w_p, u_p, n_p in zip(cols.segs, cols.dists, w.tolist(), u.tolist(),
+    for segs, dists, w_p, u_p, n_p in zip(flows.segs, flows.dists, w.tolist(), u.tolist(),
                                           crossings):
         i, a = np.array(segs), np.array(dists)  # a path's segments are distinct: no repeats
         normal[i[:, None], i] += (w_p * a)[:, None] * a
@@ -505,9 +524,9 @@ def fit_edge_model(
             speed = 1.0 / (s0 + y / root)
         bad = ~(np.isfinite(speed) & (speed > 0))
         speeds = dict.fromkeys(g.segments, base.c)
-        speeds.update(zip(cols.keys, np.where(bad, base.c, speed).tolist()))
+        speeds.update(zip(flows.keys, np.where(bad, base.c, speed).tolist()))
         model = EdgeModel(c_by_segment=speeds, sigma2=0.0)
-        resid_sq, total_d = _residual_pass(model, cols)
+        resid_sq, total_d = _residual_pass(model, flows)
         model.sigma2 = resid_sq / total_d
         return model, resid_sq, np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL, bad
 
@@ -519,9 +538,9 @@ def fit_edge_model(
         model, resid_sq, unidentifiable, bad = solve(normal + mu * (np.diag(pairs.sum(1)) - pairs))
     return model, TrainResult(
         sse_by_epoch=[resid_sq],
-        untraversed=_untraversed(g, cols),
-        unidentifiable=tuple(sorted(compress(cols.keys, unidentifiable))),
-        nonpositive=tuple(sorted(compress(cols.keys, bad))),
+        untraversed=_untraversed(g, flows),
+        unidentifiable=tuple(sorted(compress(flows.keys, unidentifiable))),
+        nonpositive=tuple(sorted(compress(flows.keys, bad))),
         unsmoothed=unsmoothed,
     )
 

@@ -174,7 +174,8 @@ class RecordStream:
     The planted segment runs at true speed over the slowdown factor while the
     clock is inside the congestion window. Each pass draws the day afresh from
     its seed, so every pass yields the same records, and `truncated` counts the
-    segment times the latest pass raised to their floor.
+    segment times the latest pass raised to their floor. A record that would
+    alight after year 9999 UTC, which no reader accepts, raises ValueError.
     """
 
     def __init__(self, truth: SynthTruth, cfg: SynthConfig):
@@ -224,6 +225,9 @@ class RecordStream:
                     t_seg = floor
                     self.truncated += 1
                 t_cur += t_seg
+            if t_cur >= _EPOCH_MAX:
+                raise ValueError(f"record r{n:06d} alights at {format_float(t_cur)}, outside "
+                                 "years 1-9999 UTC; an earlier day_start_s keeps trips inside")
             yield FlowRecord(
                 record_id=f"r{n:06d}",
                 service_id=route.service_id,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from flowanomaly.core import FlowRecord, Path, Segment, ServiceRoute, build_network
+from flowanomaly.core import FlowRecord, Path, Segment, ServiceRoute, build_network, resolve_paths
+from flowanomaly.models import Flows
 
 
 def make_route(service_id, stops, cumulative):
@@ -34,6 +35,18 @@ def chain_path(nodes, distances):
         Segment(a, b, d) for a, b, d in zip(nodes, nodes[1:], distances)
     )
     return Path(segs)
+
+
+def flows_on(network, records):
+    """The records as a Flows, each on its path in the network."""
+    return Flows.from_records(records, resolve_paths(network, records))
+
+
+def flows_straight(records):
+    """The records as a Flows, each on one segment of its own length from its
+    origin to its destination: for fits that read no path, such as baseline1."""
+    return Flows.from_records(
+        records, [chain_path([r.origin, r.destination], [r.distance_m]) for r in records])
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from flowanomaly.evaluation import kfold
 from flowanomaly.models import (
     MODEL_KINDS,
     EdgeModel,
+    Flows,
     TrainConfig,
     expected_time,
     fit_baseline1,
@@ -45,7 +46,7 @@ from flowanomaly.synth import (
     generate_records,
 )
 
-from conftest import chain_path, make_record
+from conftest import chain_path, flows_on, flows_straight, make_record
 
 
 def report(num, name, ok, detail=""):
@@ -127,18 +128,18 @@ def test_c02_closed_form_estimators():
                            t_start=0.0, t_end=t, distance_m=d)
 
     ok = True
-    m = fit_baseline1([rec(100.0, 10.0, "r1"), rec(200.0, 20.0, "r2")])
+    m = fit_baseline1(flows_straight([rec(100.0, 10.0, "r1"), rec(200.0, 20.0, "r2")]))
     ok &= close(m.c, 10.0) and close(m.sigma2, 0.0)
-    m = fit_baseline1([rec(100.0, 10.0, "r1"), rec(100.0, 30.0, "r2")])
+    m = fit_baseline1(flows_straight([rec(100.0, 10.0, "r1"), rec(100.0, 30.0, "r2")]))
     ok &= close(m.c, 5.0) and close(m.sigma2, 1.0)
-    m = fit_baseline1([rec(300.0, 30.0, "r1")])
+    m = fit_baseline1(flows_straight([rec(300.0, 30.0, "r1")]))
     ok &= close(m.c, 10.0) and close(m.sigma2, 0.0)
 
     records = [rec(100.0, 10.0, "r1"), rec(100.0, 30.0, "r2"),
                rec(100.0, 10.0, "r3", "c", "d"), rec(100.0, 10.0, "r4", "c", "d")]
     paths = [chain_path("ab", [100.0]), chain_path("ab", [100.0]),
              chain_path("cd", [100.0]), chain_path("cd", [100.0])]
-    m2 = fit_baseline2(records, paths)
+    m2 = fit_baseline2(Flows.from_records(records, paths))
     ok &= close(m2.c_by_path["a>b"], 5.0)
     ok &= close(m2.c_by_path["c>d"], 10.0)
     ok &= close(m2.sigma2, 0.5)
@@ -150,7 +151,7 @@ def test_c03_sgd_convergence(desk_set):
     truth, records, paths = desk_set
     t0 = time.monotonic()
     cfg = TrainConfig(eta=0.002, tau=1e-4, epochs=30, c_min=0.1, shuffle_seed=7)
-    _, trail = train_edge_model(truth.network, records, cfg, paths=paths)
+    _, trail = train_edge_model(truth.network, Flows.from_records(records, paths), cfg)
     elapsed = time.monotonic() - t0
     sse = trail.sse_by_epoch
     pairs = list(zip(sse, sse[1:]))
@@ -165,9 +166,10 @@ def test_c03_sgd_convergence(desk_set):
 
 def test_c04_model_ordering(desk_set):
     """Mean test RMSE: edge < smoothed < baseline2 < baseline1, gap >= 20%."""
-    truth, records, _ = desk_set
+    truth, records, paths = desk_set
     t0 = time.monotonic()
-    result = kfold(truth.network, records, 5, list(MODEL_KINDS), psi=0.005, seed=5)
+    result = kfold(truth.network, Flows.from_records(records, paths), 5, list(MODEL_KINDS),
+                   psi=0.005, seed=5)
     means = {kind: result.mean_test_rmse(kind) for kind in MODEL_KINDS}
     elapsed = time.monotonic() - t0
     gap = 1.0 - means["edge"] / means["baseline1"]
@@ -191,7 +193,7 @@ def test_c05_speed_recovery(desk_set):
     """Planted speeds recovered within 10% wherever >=200 records pass."""
     truth, records, paths = desk_set
     cfg = TrainConfig(eta=0.002, tau=1e-4, epochs=120, c_min=0.1, shuffle_seed=7)
-    model, _ = train_edge_model(truth.network, records, cfg, paths=paths)
+    model, _ = train_edge_model(truth.network, Flows.from_records(records, paths), cfg)
     traffic = {}
     for p in paths:
         for s in p.segments:
@@ -296,11 +298,12 @@ def _run_congestion_day(seed, n_records=6000, planted=True, day_start=0.0,
     )
     truth = generate_network(cfg)
     records, _ = generate_records(truth, cfg)
+    flows = flows_on(truth.network, records)
     if closed_form:
-        model, _ = fit_edge_model(truth.network, records)
+        model, _ = fit_edge_model(truth.network, flows)
     else:
         tcfg = TrainConfig(eta=0.002, tau=1e-4, epochs=30, c_min=0.1, shuffle_seed=7)
-        model, _ = train_edge_model(truth.network, records, tcfg)
+        model, _ = train_edge_model(truth.network, flows, tcfg)
     scored = score(model, records, truth.network)
     filtered, _ = filter_significant(scored, DetectConfig(delta_quantile=0.01))
     counts = containment_counts(filtered)

@@ -21,6 +21,8 @@ from flowanomaly.recordio import (
     read_routes,
 )
 
+from conftest import flows_on
+
 
 def run(*argv):
     return run_command(list(argv))
@@ -161,6 +163,37 @@ class TestValidation:
         assert code == 2
         assert capsys.readouterr().err == "error: record 'r000003': t_end must exceed t_start\n"
         assert list(tmp_path.iterdir()) == []
+        # a day that starts in range but whose record r000016 alights after year
+        # 9999 UTC, which no reader accepts: nothing is written either
+        code = run("simulate", "--out-records", str(tmp_path / "r.csv"),
+                   "--out-truth", str(tmp_path / "t.csv"), "--services", "2", "--stops", "4",
+                   "--n-records", "50", "--seed", "1", "--day-start", "253402300000",
+                   "--day-seconds", "700")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: record r000016 alights at 253402300812.24295, outside years 1-9999 UTC; "
+            "an earlier day_start_s keeps trips inside\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "detect"])
+    def test_no_usable_records_is_one_error_line(self, tmp_path, capsys, command):
+        # every row parses, and every row names a service the routes lack
+        rec_path, routes = tmp_path / "records.csv", tmp_path / "routes.csv"
+        rec_path.write_text(
+            "record_id,service_id,board_stop,alight_stop,board_time,alight_time,distance_m\n"
+            "r1,s9,a,b,0,100,500\nr2,s9,a,b,200,300,500\nr3,s9,a,b,400,500,500\n")
+        routes.write_text("service_id,seq,stop,cumulative_m\ns1,0,a,0\ns1,1,b,500\n")
+        model = tmp_path / "model.txt"
+        model.write_text("model baseline1 sigma2=1\nglobal 5\n")
+        files = {"train": ["--out-model", str(tmp_path / "m.txt")],
+                 "crossval": ["--out", str(tmp_path / "cv.csv")],
+                 "detect": ["--model", str(model), "--out", str(tmp_path / "scored.csv")]}
+        code = run(command, "--records", str(rec_path), "--routes", str(routes), *files[command])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no usable records after validation (skipped_unresolvable=3)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.txt", "records.csv", "routes.csv"]
 
     def test_flag_tables_follow_the_config_classes(self):
         # cli names these without importing models, which only train and crossval load
@@ -312,7 +345,9 @@ class TestValidation:
         routes = tmp_path / "routes.csv"
         assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
                    "--out-rejects", str(tmp_path / "rej.csv")) == 0
-        fold = evaluation.make_folds(parse_records(str(rec_path))[0], 2, int(seed))
+        flows = flows_on(build_network(read_routes(str(routes))),
+                         parse_records(str(rec_path))[0])
+        fold = evaluation.make_folds(flows, 2, int(seed))
         assert len(set(fold.assignments.values())) == 1
         capsys.readouterr()
         out = tmp_path / "cv.csv"

@@ -1,11 +1,12 @@
 """The column paths of the CLI and kfold against per-record references.
 
-`train`, `crossval` and `detect` parse records into a RecordTable, resolve each
-distinct (service, origin, destination) once, and hand kfold index views of one
-_Columns. The references below are the per-record versions they replace: the
-parser's reference row parser plus validate_record per record, kfold's
-per-fold record-list loop, and anomaly.score per record. Results must be
-equal, floats bit for bit.
+`train`, `crossval` and `detect` parse records into a RecordTable and build
+their Flows from it (Flows.from_table), resolving each distinct (service,
+origin, destination) once; kfold trains and tests on index views of one Flows.
+The references below are the per-record versions they replace: the parser's
+reference row parser plus validate_record per record, then Flows.from_records;
+kfold's per-fold record lists, each its own Flows; and anomaly.score per
+record. Results must be equal, floats bit for bit.
 """
 
 import io
@@ -23,7 +24,7 @@ from flowanomaly.errors import FlowError
 from flowanomaly.evaluation import TrialRow, kfold, make_folds, rmse
 from flowanomaly.models import (
     MODEL_KINDS,
-    _Columns,
+    Flows,
     fit_baseline1,
     fit_baseline2,
     fit_edge_model,
@@ -36,26 +37,27 @@ from flowanomaly.recordio import (
     parse_records,
     read_routes,
     read_table,
+    write_records,
 )
 from flowanomaly.routeinfer import collect_evidence
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
-from conftest import make_record, make_route
+from conftest import flows_on, make_record, make_route
 from test_ingest_oracles import oracle_parse_row, random_records, to_csv
 
 
-def column_fields(cols):
-    """Everything a _Columns holds, with Paths by identity and floats as hex."""
+def column_fields(flows):
+    """Everything a Flows holds, with Paths by identity and floats as hex."""
     return (
-        cols.record_ids,
-        [t.hex() for t in cols.observed],
-        [d.hex() for d in cols.distance],
-        [id(p) for p in cols.record_paths],
-        cols.path_of,
-        [id(p) for p in cols.paths],
-        cols.segs,
-        cols.dists,
-        cols.keys,
+        flows.record_ids,
+        [t.hex() for t in flows.observed],
+        [d.hex() for d in flows.distance],
+        [id(p) for p in flows.record_paths],
+        flows.path_of,
+        [id(p) for p in flows.paths],
+        flows.segs,
+        flows.dists,
+        flows.keys,
     )
 
 
@@ -115,7 +117,7 @@ class TestTableValidationMatchesPerRecord:
             network = build_network(ROUTES)
             want_kept, want_paths, want_skipped, want_rejects = oracle_load(network, text, eps_d)
             capsys.readouterr()
-            table, rows_kept, cols = cli._load_table(network, str(path), eps_d)
+            table, rows_kept, flows = cli._load_table(network, str(path), eps_d)
             err = capsys.readouterr().err.splitlines()
             assert [ln for ln in err if ln.startswith("reject ")] == want_rejects
             skipped = [ln for ln in err if ln.startswith("skipped_unresolvable=")]
@@ -130,8 +132,8 @@ class TestTableValidationMatchesPerRecord:
                  r.t_start.hex(), r.t_end.hex(), r.distance_m.hex())
                 for r in want_kept
             ]
-            assert all(p is q for p, q in zip(cols.record_paths, want_paths))
-            assert column_fields(cols) == column_fields(_Columns.of(want_kept, want_paths))
+            assert all(p is q for p, q in zip(flows.record_paths, want_paths))
+            assert column_fields(flows) == column_fields(Flows.from_records(want_kept, want_paths))
             seen["kept"] += len(want_kept)
             seen["skipped"] += want_skipped
             seen["rejected"] += len(want_rejects)
@@ -185,18 +187,18 @@ def crossval_set(seed=4):
     return network, records
 
 
-def oracle_fit(kind, network, records, paths, psi):
+def oracle_fit(kind, network, flows, psi):
     if kind == "baseline1":
-        return fit_baseline1(records)
+        return fit_baseline1(flows)
     if kind == "baseline2":
-        return fit_baseline2(records, paths)
-    return fit_edge_model(network, records, paths, psi=psi if kind == "smoothed-edge" else 0.0)[0]
+        return fit_baseline2(flows)
+    return fit_edge_model(network, flows, psi=psi if kind == "smoothed-edge" else 0.0)[0]
 
 
 def oracle_kfold(network, records, k, model_kinds, psi, seed):
-    """kfold as it was: record lists copied per fold, each rmse on lists."""
-    split = make_folds(records, k, seed)
+    """kfold as it was: record lists copied per fold, each rmse on its own Flows."""
     paths = resolve_paths(network, records)
+    split = make_folds(Flows.from_records(records, paths), k, seed)
     rows = []
     for fold in range(k):
         train_recs, train_paths, test_recs, test_paths = [], [], [], []
@@ -216,34 +218,39 @@ def oracle_kfold(network, records, k, model_kinds, psi, seed):
                 kept_paths.append(p)
             else:
                 excluded += 1
+        train = Flows.from_records(train_recs, train_paths)
+        test = Flows.from_records(kept_recs, kept_paths)
         for kind in model_kinds:
-            model = oracle_fit(kind, network, train_recs, train_paths, psi)
-            rows.append(TrialRow(fold, kind, rmse(model, train_recs, train_paths),
-                                 rmse(model, kept_recs, kept_paths), excluded))
+            model = oracle_fit(kind, network, train, psi)
+            rows.append(TrialRow(fold, kind, rmse(model, train), rmse(model, test), excluded))
     return rows
 
 
 class TestKfoldViewsMatchOracle:
     @pytest.mark.parametrize("seed", [4, 9])
-    def test_all_kinds_with_an_excluded_record_and_repeated_ids(self, seed):
+    def test_all_kinds_with_an_excluded_record_and_repeated_ids(self, seed, tmp_path):
         network, records = crossval_set(seed)
         want = oracle_kfold(network, records, 3, MODEL_KINDS, psi=1e-3, seed=seed)
         assert sum(row.excluded for row in want) == len(MODEL_KINDS)  # the lone trip
-        assert kfold(network, records, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
-        cols = _Columns.of(records, resolve_paths(network, records))
-        assert kfold(network, cols, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
+        flows = flows_on(network, records)
+        assert kfold(network, flows, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
+        write_records(records, str(tmp_path / "records.csv"))
+        table, _ = read_table(str(tmp_path / "records.csv"))
+        flows, rows = Flows.from_table(table, network, eps_d=1.0)
+        assert rows == list(range(len(records)))
+        assert kfold(network, flows, 3, MODEL_KINDS, psi=1e-3, seed=seed).rows == want
 
     def test_view_equals_columns_of_its_rows(self):
         network, records = crossval_set()
         paths = resolve_paths(network, records)
-        cols = _Columns.of(records, paths)
+        flows = Flows.from_records(records, paths)
         rng = random.Random(1)
         for _ in range(20):
             rows = rng.sample(range(len(records)), rng.randrange(0, len(records)))
             if rng.random() < 0.5:
                 rows.sort()
-            want = _Columns.of([records[i] for i in rows], [paths[i] for i in rows])
-            assert column_fields(cols.view(rows)) == column_fields(want)
+            want = Flows.from_records([records[i] for i in rows], [paths[i] for i in rows])
+            assert column_fields(flows.view(rows)) == column_fields(want)
 
 
 def detect_inputs(tmp_path):

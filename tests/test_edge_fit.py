@@ -17,6 +17,7 @@ from flowanomaly import cli
 from flowanomaly.core import build_network, resolve_paths
 from flowanomaly.models import (
     EdgeModel,
+    Flows,
     TrainConfig,
     expected_time,
     fit_baseline1,
@@ -26,7 +27,7 @@ from flowanomaly.models import (
 )
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
-from conftest import make_record, make_route
+from conftest import flows_on, make_record, make_route
 from test_acceptance import DESK, _localized_days
 
 
@@ -67,7 +68,8 @@ def smoothing_rows(network, records, paths, psi):
     for p in paths:
         for a, b in zip(p.segments, p.segments[1:]):
             crossings[a.key, b.key] = crossings.get((a.key, b.key), 0) + 1
-    mu = psi * fit_edge_model(network, records, paths)[0].sigma2 * fit_baseline1(records).c ** 4
+    flows = Flows.from_records(records, paths)
+    mu = psi * fit_edge_model(network, flows)[0].sigma2 * fit_baseline1(flows).c ** 4
     return [(i, j, math.sqrt(mu * n)) for (i, j), n in crossings.items()]
 
 
@@ -79,7 +81,7 @@ def weighted_sse(model, records, paths):
 @pytest.mark.parametrize("seed", range(6))
 def test_equals_dense_least_squares(seed):
     network, records, paths = corridor_set(seed)
-    model, result = fit_edge_model(network, records, paths)
+    model, result = fit_edge_model(network, Flows.from_records(records, paths))
     assert result.unidentifiable == result.nonpositive == result.untraversed == ()
     want = dense_wls(records, paths, sorted(network.segments))
     for key, c in want.items():
@@ -97,13 +99,14 @@ def test_equals_dense_least_squares(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_smoothed_equals_dense_least_squares_with_penalty_rows(seed, psi):
     network, records, paths = corridor_set(seed)
-    model, result = fit_edge_model(network, records, paths, psi=psi)
+    flows = Flows.from_records(records, paths)
+    model, result = fit_edge_model(network, flows, psi=psi)
     assert result.unidentifiable == result.nonpositive == result.untraversed == ()
     keys = sorted(network.segments)
     want = dense_wls(records, paths, keys, smoothing_rows(network, records, paths, psi))
     for key, c in want.items():
         assert math.isclose(model.c_by_segment[key], c, rel_tol=1e-9), key
-    edge, _ = fit_edge_model(network, records, paths)
+    edge, _ = fit_edge_model(network, flows)
     assert result.unsmoothed == edge  # the first solve is the edge fit, bit for bit
     assert max(abs(model.c_by_segment[k] / edge.c_by_segment[k] - 1.0) for k in keys) > 1e-6
     resid_sq = sum((r.observed_s - expected_time(model, p, r.distance_m)) ** 2
@@ -138,8 +141,9 @@ def test_smoothed_edge_at_psi_zero_is_the_edge_fit(tmp_path, capsys, seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_summed_gradient_vanishes_at_the_fit(seed):
     network, records, paths = corridor_set(seed)
-    model, _ = fit_edge_model(network, records, paths)
-    start = EdgeModel(dict.fromkeys(network.segments, fit_baseline1(records).c), model.sigma2)
+    flows = Flows.from_records(records, paths)
+    model, _ = fit_edge_model(network, flows)
+    start = EdgeModel(dict.fromkeys(network.segments, fit_baseline1(flows).c), model.sigma2)
     cfg = TrainConfig(tau=0.0, psi=0.0)
 
     def summed(m):
@@ -159,8 +163,9 @@ def test_weighted_sse_at_most_sgd_after_c03_epochs():
     records, _ = generate_records(truth, DESK)
     paths = resolve_paths(truth.network, records)
     cfg = TrainConfig(eta=0.002, tau=1e-4, epochs=30, c_min=0.1, shuffle_seed=7)
-    sgd, _ = train_edge_model(truth.network, records, cfg, paths=paths)
-    closed, result = fit_edge_model(truth.network, records, paths)
+    flows = Flows.from_records(records, paths)
+    sgd, _ = train_edge_model(truth.network, flows, cfg)
+    closed, result = fit_edge_model(truth.network, flows)
     assert result.unidentifiable == result.nonpositive == ()
     assert weighted_sse(closed, records, paths) <= weighted_sse(sgd, records, paths)
 
@@ -175,7 +180,8 @@ def test_unidentifiable_segments_are_the_dense_null_space(seed):
     records, paths = map(list, zip(*[
         (r, p) for r, p in zip(records, paths)
         if r.origin not in dropped and r.destination not in dropped]))
-    model, result = fit_edge_model(network, records, paths)
+    flows = Flows.from_records(records, paths)
+    model, result = fit_edge_model(network, flows)
     keys = sorted({seg.key for p in paths for seg in p.segments})
     scale = 1.0 / np.sqrt([r.distance_m for r in records])
     design = np.zeros((len(records), len(keys)))
@@ -196,7 +202,7 @@ def test_unidentifiable_segments_are_the_dense_null_space(seed):
     for key in set(keys) - want:
         assert math.isclose(model.c_by_segment[key], 1.0 / slowness[key], rel_tol=1e-9), key
     # the correction from the global slowness has no null-space part in the length-weighted norm
-    s0 = 1.0 / fit_baseline1(records).c
+    s0 = 1.0 / fit_baseline1(flows).c
     length = np.array([network.segments[key].distance_m for key in keys])
     delta = np.array([1.0 / model.c_by_segment[key] - s0 for key in keys])
     assert np.abs(null @ (length * delta)).max() <= 1e-9 * np.linalg.norm(length * delta)
@@ -239,7 +245,8 @@ def test_segments_no_trip_separates_are_unidentifiable(tmp_path, capsys):
     records = trips(("a", "c", 100.0, 1000.0), ("a", "c", 110.0, 1000.0),
                     ("c", "d", 50.0, 500.0), ("c", "d", 54.0, 500.0),
                     ("a", "c", 96.0, 1000.0))
-    model, result = fit_edge_model(build_network([make_route("s1", *route)]), records)
+    network = build_network([make_route("s1", *route)])
+    model, result = fit_edge_model(network, flows_on(network, records))
     assert result.unidentifiable == (("a", "b"), ("b", "c"))
     assert result.nonpositive == result.untraversed == ()
     c = model.c_by_segment
@@ -264,7 +271,7 @@ def test_smoothing_separates_segments_no_trip_separates(tmp_path, capsys):
                     ("c", "d", 50.0, 500.0), ("c", "d", 54.0, 500.0),
                     ("a", "c", 96.0, 1000.0))
     network = build_network([make_route("s1", *route)])
-    model, result = fit_edge_model(network, records, psi=1e-3)
+    model, result = fit_edge_model(network, flows_on(network, records), psi=1e-3)
     assert result.unidentifiable == result.nonpositive == result.untraversed == ()
     c = model.c_by_segment
     assert math.isclose(1000.0 / c[("a", "b")], (100.0 + 110.0 + 96.0) / 3, rel_tol=1e-9)
@@ -279,7 +286,7 @@ def test_fit_rejects_a_negative_or_nonfinite_psi():
     network, records, paths = corridor_set(0)
     for psi in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="psi"):
-            fit_edge_model(network, records, paths, psi=psi)
+            fit_edge_model(network, Flows.from_records(records, paths), psi=psi)
 
 
 def test_nonpositive_slowness_takes_the_global_speed(tmp_path, capsys):
@@ -287,10 +294,12 @@ def test_nonpositive_slowness_takes_the_global_speed(tmp_path, capsys):
     route = ("abc", (0.0, 500.0, 1000.0))
     records = trips(("a", "b", 100.0, 500.0), ("a", "b", 100.0, 500.0),
                     ("a", "c", 50.0, 1000.0), ("a", "c", 50.0, 1000.0))
-    model, result = fit_edge_model(build_network([make_route("s1", *route)]), records)
+    network = build_network([make_route("s1", *route)])
+    flows = flows_on(network, records)
+    model, result = fit_edge_model(network, flows)
     assert result.nonpositive == (("b", "c"),)
     assert result.unidentifiable == ()
-    assert model.c_by_segment[("b", "c")] == fit_baseline1(records).c
+    assert model.c_by_segment[("b", "c")] == fit_baseline1(flows).c
     assert math.isclose(model.c_by_segment[("a", "b")], 5.0, rel_tol=1e-12)
     assert model.sigma2 > 0 and math.isfinite(model.sigma2)
 
@@ -304,9 +313,10 @@ def test_untraversed_segments_keep_the_global_speed():
                              make_route("s2", "xy", (0.0, 300.0))])
     records = [make_record("r1", "s1", "a", "c", 0.0, 100.0, 1000.0),
                make_record("r2", "s1", "a", "b", 0.0, 60.0, 500.0)]
-    model, result = fit_edge_model(network, records)
+    flows = flows_on(network, records)
+    model, result = fit_edge_model(network, flows)
     assert result.untraversed == (("x", "y"),)
-    assert model.c_by_segment[("x", "y")] == fit_baseline1(records).c
+    assert model.c_by_segment[("x", "y")] == fit_baseline1(flows).c
     assert list(model.c_by_segment) == list(network.segments)
 
 

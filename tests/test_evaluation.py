@@ -6,10 +6,10 @@ from flowanomaly import evaluation
 from flowanomaly.core import build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
 from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
-from flowanomaly.models import Baseline1Model, fit_baseline1, sse
+from flowanomaly.models import Baseline1Model, Flows, fit_baseline1, sse
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
-from conftest import chain_path, make_record, make_route
+from conftest import chain_path, flows_on, flows_straight, make_record, make_route
 
 
 def rec(d, t_hat, rid="r1", origin="a", destination="b"):
@@ -22,54 +22,57 @@ class TestMetrics:
         model = Baseline1Model(c=10.0, sigma2=0.0)
         records = [rec(100.0, 10.0), rec(200.0, 20.0, "r2")]
         paths = [chain_path("ab", [100.0]), chain_path("ab", [200.0])]
-        assert sse(model, records, paths) == 0.0
+        assert sse(model, Flows.from_records(records, paths)) == 0.0
 
     def test_sse_hand_sum(self):
         model = Baseline1Model(c=10.0, sigma2=0.0)
         records = [rec(100.0, 20.0), rec(100.0, 0.5, "r2")]
         paths = [chain_path("ab", [100.0])] * 2
         # residuals -10 and +9.5
-        assert math.isclose(sse(model, records, paths), 100.0 + 90.25, rel_tol=1e-12)
+        assert math.isclose(sse(model, Flows.from_records(records, paths)), 100.0 + 90.25, rel_tol=1e-12)
 
     def test_sse_zero_residual_record_is_neutral(self):
         model = Baseline1Model(c=10.0, sigma2=0.0)
         records = [rec(100.0, 20.0)]
         paths = [chain_path("ab", [100.0])]
-        base = sse(model, records, paths)
+        base = sse(model, Flows.from_records(records, paths))
         records.append(rec(300.0, 30.0, "r2"))
         paths.append(chain_path("ab", [300.0]))
-        assert sse(model, records, paths) == base
+        assert sse(model, Flows.from_records(records, paths)) == base
 
     def test_rmse_hand(self):
         model = Baseline1Model(c=10.0, sigma2=0.0)
         records = [rec(100.0, 20.0), rec(100.0, 0.0001, "r2")]
         paths = [chain_path("ab", [100.0])] * 2
         want = math.sqrt(((20.0 - 10.0) ** 2 + (0.0001 - 10.0) ** 2) / 2.0)
-        assert math.isclose(rmse(model, records, paths), want, rel_tol=1e-12)
+        assert math.isclose(rmse(model, Flows.from_records(records, paths)), want, rel_tol=1e-12)
 
     def test_rmse_perfect(self):
         model = Baseline1Model(c=10.0, sigma2=0.0)
-        assert rmse(model, [rec(100.0, 10.0)], [chain_path("ab", [100.0])]) == 0.0
+        assert rmse(model, Flows.from_records([rec(100.0, 10.0)], [chain_path("ab", [100.0])])) == 0.0
 
     def test_rmse_duplication_invariant(self):
         model = Baseline1Model(c=10.0, sigma2=0.0)
         records = [rec(100.0, 17.0), rec(200.0, 14.0, "r2")]
         paths = [chain_path("ab", [100.0]), chain_path("ab", [200.0])]
-        doubled = rmse(model, records * 2, paths * 2)
-        assert math.isclose(rmse(model, records, paths), doubled, rel_tol=1e-12)
+        doubled = rmse(model, Flows.from_records(records * 2, paths * 2))
+        assert math.isclose(rmse(model, Flows.from_records(records, paths)), doubled, rel_tol=1e-12)
 
     def test_rmse_empty(self):
         with pytest.raises(EmptyInput):
-            rmse(Baseline1Model(1.0, 0.0), [], [])
+            rmse(Baseline1Model(1.0, 0.0), Flows.from_records([], []))
 
 
 class TestFolds:
     def records(self, n):
         return [rec(100.0, 10.0, f"r{i}") for i in range(n)]
 
+    def flows(self, n):
+        return flows_straight(self.records(n))
+
     def test_partition_and_sizes(self):
         records = self.records(23)
-        split = make_folds(records, 5, seed=3)
+        split = make_folds(flows_straight(records), 5, seed=3)
         assert set(split.assignments) == {r.record_id for r in records}
         sizes = [0] * 5
         for fold in split.assignments.values():
@@ -78,21 +81,21 @@ class TestFolds:
         assert sum(sizes) == 23
 
     def test_determinism(self):
-        records = self.records(40)
-        assert make_folds(records, 4, seed=9).assignments == \
-            make_folds(records, 4, seed=9).assignments
+        flows = self.flows(40)
+        assert make_folds(flows, 4, seed=9).assignments == \
+            make_folds(flows, 4, seed=9).assignments
 
     def test_two_records_two_folds(self):
-        split = make_folds(self.records(2), 2, seed=0)
+        split = make_folds(self.flows(2), 2, seed=0)
         assert sorted(split.assignments.values()) == [0, 1]
 
     def test_too_few(self):
         with pytest.raises(TooFewRecords):
-            make_folds(self.records(3), 5, seed=0)
+            make_folds(self.flows(3), 5, seed=0)
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            make_folds(self.records(5), 1, seed=0)
+            make_folds(self.flows(5), 1, seed=0)
 
 
 class TestKfold:
@@ -101,8 +104,8 @@ class TestKfold:
                           noise_sigma2=0.05, seed=2)
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
-        forward = fit_baseline1(records)
-        backward = fit_baseline1(list(reversed(records)))
+        forward = fit_baseline1(flows_on(truth.network, records))
+        backward = fit_baseline1(flows_on(truth.network, list(reversed(records))))
         assert math.isclose(forward.c, backward.c, rel_tol=1e-12)
         assert math.isclose(forward.sigma2, backward.sigma2, rel_tol=1e-12)
 
@@ -116,7 +119,7 @@ class TestKfold:
         records.append(make_record(record_id="lonely", service_id="s2", origin="x",
                                    destination="y", t_start=0.0, t_end=100.0,
                                    distance_m=1000.0))
-        result = kfold(net, records, 5, ["baseline1"], psi=0.0, seed=1)
+        result = kfold(net, flows_on(net, records), 5, ["baseline1"], psi=0.0, seed=1)
         assert len(result.rows) == 5
         assert sum(row.excluded for row in result.rows) == 1
         assert all(row.kind == "baseline1" for row in result.rows)
@@ -126,7 +129,8 @@ class TestKfold:
                           noise_sigma2=0.05, seed=4)
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
-        result = kfold(truth.network, records, 4, ["baseline1", "baseline2"], psi=0.0, seed=6)
+        result = kfold(truth.network, flows_on(truth.network, records), 4, ["baseline1", "baseline2"],
+                       psi=0.0, seed=6)
         by_fold = {}
         for row in result.rows:
             by_fold.setdefault(row.fold, []).append(row.excluded)
@@ -138,7 +142,8 @@ class TestKfold:
                           n_records=300, noise_sigma2=0.05, seed=4)
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
-        alone = {kind: kfold(truth.network, records, 3, [kind], psi=0.05, seed=6).rows
+        flows = flows_on(truth.network, records)
+        alone = {kind: kfold(truth.network, flows, 3, [kind], psi=0.05, seed=6).rows
                  for kind in ("edge", "smoothed-edge")}
         calls = []
         fit = evaluation.fit_edge_model
@@ -146,7 +151,7 @@ class TestKfold:
                             lambda *args, **kw: calls.append(kw.get("psi")) or fit(*args, **kw))
         for kinds in (["edge", "smoothed-edge"], ["smoothed-edge", "edge"]):
             calls.clear()
-            rows = kfold(truth.network, records, 3, kinds, psi=0.05, seed=6).rows
+            rows = kfold(truth.network, flows, 3, kinds, psi=0.05, seed=6).rows
             assert calls == [0.05] * 3
             assert [row.kind for row in rows] == kinds * 3
             for kind in kinds:
@@ -158,7 +163,7 @@ class TestKfold:
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
         with pytest.raises(ValueError):
-            kfold(truth.network, records, 2, ["nope"], psi=0.0, seed=0)
+            kfold(truth.network, flows_on(truth.network, records), 2, ["nope"], psi=0.0, seed=0)
 
     def test_mean_test_rmse_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from flowanomaly.models import (
     Baseline1Model,
     Baseline2Model,
     EdgeModel,
+    Flows,
     TrainConfig,
     estimate_variance,
     expected_time,
@@ -39,7 +40,7 @@ from flowanomaly.models import (
 from flowanomaly.synth import SynthConfig, SynthTruth, generate_network, generate_records
 from flowanomaly.core import resolve_paths
 
-from conftest import chain_path, make_record, make_route
+from conftest import chain_path, flows_on, flows_straight, make_record, make_route
 
 
 def rec(d, t_hat, rid="r1", origin="a", destination="b", service="s1", t0=0.0):
@@ -61,30 +62,30 @@ def two_speed_truth():
 
 class TestBaseline1:
     def test_zero_residual(self):
-        m = fit_baseline1([rec(100.0, 10.0), rec(200.0, 20.0, "r2")])
+        m = fit_baseline1(flows_straight([rec(100.0, 10.0), rec(200.0, 20.0, "r2")]))
         assert m.c == 10.0
         assert m.sigma2 == 0.0
 
     def test_hand_computed(self):
-        m = fit_baseline1([rec(100.0, 10.0), rec(100.0, 30.0, "r2")])
+        m = fit_baseline1(flows_straight([rec(100.0, 10.0), rec(100.0, 30.0, "r2")]))
         assert math.isclose(m.c, 5.0, rel_tol=1e-12)
         assert math.isclose(m.sigma2, 1.0, rel_tol=1e-12)
 
     def test_single_record(self):
-        m = fit_baseline1([rec(300.0, 30.0)])
+        m = fit_baseline1(flows_straight([rec(300.0, 30.0)]))
         assert m.c == 10.0
         assert m.sigma2 == 0.0
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            fit_baseline1([])
+            fit_baseline1(flows_straight([]))
 
 
 class TestBaseline2:
     def test_zero_residual_per_path(self):
         records = [rec(100.0, 10.0), rec(100.0, 25.0, "r2", "c", "d")]
         paths = [chain_path("ab", [100.0]), chain_path("cd", [100.0])]
-        m = fit_baseline2(records, paths)
+        m = fit_baseline2(Flows.from_records(records, paths))
         assert m.sigma2 == 0.0
         assert math.isclose(m.c_by_path["a>b"], 10.0, rel_tol=1e-12)
         assert math.isclose(m.c_by_path["c>d"], 4.0, rel_tol=1e-12)
@@ -102,7 +103,7 @@ class TestBaseline2:
             chain_path("cd", [100.0]),
             chain_path("cd", [100.0]),
         ]
-        m = fit_baseline2(records, paths)
+        m = fit_baseline2(Flows.from_records(records, paths))
         assert math.isclose(m.c_by_path["a>b"], 5.0, rel_tol=1e-12)
         assert math.isclose(m.c_by_path["c>d"], 10.0, rel_tol=1e-12)
         assert math.isclose(m.sigma2, 0.5, rel_tol=1e-12)
@@ -110,20 +111,20 @@ class TestBaseline2:
     def test_single_path_degenerates_to_baseline1(self):
         records = [rec(100.0, 10.0), rec(100.0, 30.0, "r2")]
         paths = [chain_path("ab", [100.0])] * 2
-        m = fit_baseline2(records, paths)
-        b1 = fit_baseline1(records)
+        m = fit_baseline2(Flows.from_records(records, paths))
+        b1 = fit_baseline1(Flows.from_records(records, paths))
         assert math.isclose(m.c_by_path["a>b"], b1.c, rel_tol=1e-12)
 
     def test_unseen_path_uses_fallback(self):
         records = [rec(100.0, 10.0)]
         paths = [chain_path("ab", [100.0])]
-        m = fit_baseline2(records, paths)
+        m = fit_baseline2(Flows.from_records(records, paths))
         other = chain_path("xy", [100.0])
         assert expected_time(m, other, 100.0) == 100.0 / m.fallback_c
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            fit_baseline2([], [])
+            fit_baseline2(Flows.from_records([], []))
 
 
 class TestExpectedTime:
@@ -226,20 +227,21 @@ class TestGradient:
 class TestInitAndVariance:
     def test_init_from_global_fit(self, line_network):
         records = [rec(100.0, 12.5, "r1", "a", "b"), rec(200.0, 25.0, "r2", "a", "c")]
-        model = init_edge_model(line_network, records)
-        b1 = fit_baseline1(records)
+        flows = flows_on(line_network, records)
+        model = init_edge_model(line_network, flows)
+        b1 = fit_baseline1(flows)
         assert set(model.c_by_segment) == set(line_network.segments)
         assert all(v == b1.c for v in model.c_by_segment.values())
         assert model.sigma2 == b1.sigma2
 
     def test_empty_records(self, line_network):
         with pytest.raises(EmptyInput):
-            init_edge_model(line_network, [])
+            init_edge_model(line_network, flows_on(line_network, []))
 
     def test_estimate_variance_zero(self):
         model = EdgeModel({("a", "b"): 10.0}, sigma2=1.0)
         paths = [chain_path("ab", [100.0])]
-        assert estimate_variance(model, [rec(100.0, 10.0)], paths) == 0.0
+        assert estimate_variance(model, Flows.from_records([rec(100.0, 10.0)], paths)) == 0.0
 
     def test_estimate_variance_hand(self):
         model = EdgeModel({("a", "b"): 10.0}, sigma2=1.0)
@@ -247,7 +249,7 @@ class TestInitAndVariance:
         records = [rec(100.0, 20.0), rec(100.0, 0.5, "r2")]
         # residuals +10 and -9.5 -> (100 + 90.25) / 200
         want = (100.0 + 90.25) / 200.0
-        assert math.isclose(estimate_variance(model, records, paths), want, rel_tol=1e-12)
+        assert math.isclose(estimate_variance(model, Flows.from_records(records, paths)), want, rel_tol=1e-12)
 
     def test_doubling_distance_halves_variance(self):
         model = EdgeModel({("a", "b"): 10.0, ("x", "y"): 10.0}, sigma2=1.0)
@@ -255,17 +257,17 @@ class TestInitAndVariance:
         p1 = [chain_path("ab", [100.0])]
         r2 = [rec(200.0, 30.0, origin="x", destination="y")]  # residual +10 again
         p2 = [chain_path("xy", [200.0])]
-        v1 = estimate_variance(model, r1, p1)
-        v2 = estimate_variance(model, r2, p2)
+        v1 = estimate_variance(model, Flows.from_records(r1, p1))
+        v2 = estimate_variance(model, Flows.from_records(r2, p2))
         assert math.isclose(v2, v1 / 2.0, rel_tol=1e-12)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            estimate_variance(EdgeModel({}, 1.0), [], [])
+            estimate_variance(EdgeModel({}, 1.0), Flows.from_records([], []))
 
 
 class TestRecordListWithoutPaths:
-    """A FlowRecord list with paths left out is one ValueError, not a TypeError."""
+    """A FlowRecord list passed in place of its Flows is one ValueError, not an AttributeError."""
 
     @pytest.mark.parametrize("call", [
         lambda m, records: fit_baseline2(records),
@@ -279,6 +281,16 @@ class TestRecordListWithoutPaths:
             call(model, [rec(100.0, 10.0)])
 
 
+class TestRecordsAndPaths:
+    """Records and paths that are not parallel are one ValueError, not a TypeError."""
+
+    @pytest.mark.parametrize("n_paths", [0, 1, 3], ids=["paths-left-out", "fewer", "more"])
+    def test_non_parallel_is_one_value_error(self, n_paths):
+        records = [rec(100.0, 10.0), rec(100.0, 12.0, "r2")]
+        with pytest.raises(ValueError, match="records and paths must be parallel"):
+            Flows.from_records(records, [chain_path("ab", [100.0])] * n_paths)
+
+
 class TestSgdEpoch:
     def test_noiseless_fixed_point(self):
         truth = two_speed_truth()
@@ -288,11 +300,10 @@ class TestSgdEpoch:
             rec(1000.0, 200.0, "r2", "b", "c"),
             rec(2000.0, 300.0, "r3", "a", "c"),
         ]
-        paths = resolve_paths(net, records)
         model = EdgeModel({("a", "b"): 10.0, ("b", "c"): 5.0}, sigma2=0.0)
         cfg = TrainConfig(tau=0.0, eta=0.01)
         before = dict(model.c_by_segment)
-        model, sse = sgd_epoch(model, records, paths, cfg)
+        model, sse = sgd_epoch(model, flows_on(net, records), cfg)
         assert model.c_by_segment == before
         assert sse == 0.0
 
@@ -301,12 +312,12 @@ class TestSgdEpoch:
         cfg = SynthConfig(n_services=1, stops_per_service=3, n_records=400,
                           noise_sigma2=0.01, seed=5)
         records, _ = generate_records(truth, cfg)
-        paths = resolve_paths(truth.network, records)
+        flows = flows_on(truth.network, records)
         tcfg = TrainConfig(eta=0.005, epochs=1, shuffle_seed=3)
-        m1 = init_edge_model(truth.network, records)
-        m2 = init_edge_model(truth.network, records)
-        m1, s1 = sgd_epoch(m1, records, paths, tcfg, epoch=4)
-        m2, s2 = sgd_epoch(m2, records, paths, tcfg, epoch=4)
+        m1 = init_edge_model(truth.network, flows)
+        m2 = init_edge_model(truth.network, flows)
+        m1, s1 = sgd_epoch(m1, flows, tcfg, epoch=4)
+        m2, s2 = sgd_epoch(m2, flows, tcfg, epoch=4)
         assert m1.c_by_segment == m2.c_by_segment
         assert s1 == s2
         assert m1.sigma2 == m2.sigma2
@@ -317,7 +328,7 @@ class TestSgdEpoch:
                           noise_sigma2=0.01, seed=5)
         records, _ = generate_records(truth, cfg)
         tcfg = TrainConfig(eta=0.005, tau=1e-4, epochs=20, c_min=0.1, shuffle_seed=3)
-        model, trail = train_edge_model(truth.network, records, tcfg)
+        model, trail = train_edge_model(truth.network, flows_on(truth.network, records), tcfg)
         for key, want in truth.true_speed.items():
             assert abs(model.c_by_segment[key] - want) / want < 0.10
 
@@ -327,7 +338,7 @@ class TestSgdEpoch:
                           noise_sigma2=0.2, seed=8)
         records, _ = generate_records(truth, cfg)
         tcfg = TrainConfig(eta=0.5, tau=1e-3, epochs=10, c_min=0.1, shuffle_seed=1)
-        model, _ = train_edge_model(truth.network, records, tcfg)
+        model, _ = train_edge_model(truth.network, flows_on(truth.network, records), tcfg)
         assert all(v >= tcfg.c_min for v in model.c_by_segment.values())
 
     def test_untraversed_segment_flagged_and_frozen(self):
@@ -338,9 +349,10 @@ class TestSgdEpoch:
         records = [rec(1000.0, 100.0, f"r{i}", "a", "b") for i in range(20)]
         records += [rec(1000.0, 150.0, f"q{i}", "b", "c") for i in range(20)]
         tcfg = TrainConfig(eta=0.01, tau=0.0, epochs=3, shuffle_seed=2)
-        model, trail = train_edge_model(net, records, tcfg)
+        flows = flows_on(net, records)
+        model, trail = train_edge_model(net, flows, tcfg)
         assert trail.untraversed == (("x", "y"),)
-        b1 = fit_baseline1(records)
+        b1 = fit_baseline1(flows)
         assert model.c_by_segment[("x", "y")] == b1.c
 
     def test_smoothing_never_improves_training_sse(self):
@@ -350,10 +362,11 @@ class TestSgdEpoch:
         cfg = SynthConfig(n_services=1, stops_per_service=3, n_records=1500,
                           noise_sigma2=0.01, seed=5)
         records, _ = generate_records(truth, cfg)
+        flows = flows_on(truth.network, records)
         finals = []
         for psi in (0.0, 1e-2, 5e-2, 1e-1, 3e-1):
             tcfg = TrainConfig(eta=0.002, tau=1e-4, psi=psi, epochs=100, shuffle_seed=3)
-            _, trail = train_edge_model(truth.network, records, tcfg, smoothed=True)
+            _, trail = train_edge_model(truth.network, flows, tcfg, smoothed=True)
             finals.append(trail.sse_by_epoch[-1])
         for a, b in zip(finals, finals[1:]):
             assert b >= a * (1.0 - 1e-9)
@@ -361,11 +374,11 @@ class TestSgdEpoch:
     def test_degeneracy_chain_single_segment(self):
         net = build_network([make_route("s1", "ab", (0.0, 1000.0))])
         records = [rec(1000.0, 95.0, "r1"), rec(1000.0, 105.0, "r2")]
-        paths = resolve_paths(net, records)
-        b1 = fit_baseline1(records)
-        b2 = fit_baseline2(records, paths)
+        flows = flows_on(net, records)
+        b1 = fit_baseline1(flows)
+        b2 = fit_baseline2(flows)
         tcfg = TrainConfig(eta=1e-6, tau=0.0, epochs=5, shuffle_seed=0)
-        edge, _ = train_edge_model(net, records, tcfg)
+        edge, _ = train_edge_model(net, flows, tcfg)
         c_edge = edge.c_by_segment[("a", "b")]
         assert math.isclose(b1.c, b2.c_by_path["a>b"], rel_tol=1e-12)
         assert math.isclose(c_edge, b1.c, rel_tol=1e-6)
@@ -400,7 +413,7 @@ class TestSgdSharesKernels:
             for seg in path.segments
         }
         model = EdgeModel(dict(before.c_by_segment), before.sigma2, smoothed)
-        model, _ = sgd_epoch(model, [r], resolve_paths(net, [r]), cfg)
+        model, _ = sgd_epoch(model, flows_on(net, [r]), cfg)
         assert model.c_by_segment == want
         assert want != before.c_by_segment
 
@@ -410,14 +423,14 @@ class TestSgdSharesKernels:
         scfg = SynthConfig(n_services=1, stops_per_service=3, n_records=200,
                            noise_sigma2=0.05, seed=11)
         records, _ = generate_records(truth, scfg)
-        paths = resolve_paths(truth.network, records)
+        flows = flows_on(truth.network, records)
         tcfg = TrainConfig(eta=0.005, shuffle_seed=2, variance_refresh=refresh)
-        model = init_edge_model(truth.network, records)
+        model = init_edge_model(truth.network, flows)
         sigma2_before = model.sigma2
-        model, got = sgd_epoch(model, records, paths, tcfg, epoch=1)
-        assert got == sse(model, records, paths)
+        model, got = sgd_epoch(model, flows, tcfg, epoch=1)
+        assert got == sse(model, flows)
         if refresh:
-            assert model.sigma2 == estimate_variance(model, records, paths)
+            assert model.sigma2 == estimate_variance(model, flows)
         else:
             assert model.sigma2 == sigma2_before
 
@@ -470,7 +483,7 @@ def oracle_sgd_epoch(model, records, paths, cfg, epoch=0):
 
 def oracle_train(net, records, cfg, smoothed):
     paths = resolve_paths(net, records)
-    model = init_edge_model(net, records, smoothed=smoothed)
+    model = init_edge_model(net, Flows.from_records(records, paths), smoothed=smoothed)
     trail, clamps = [], 0
     for epoch in range(cfg.epochs):
         model, sse_value, n = oracle_sgd_epoch(model, records, paths, cfg, epoch)
@@ -503,7 +516,7 @@ class TestColumnarTrainerMatchesOracle:
         cfg = TrainConfig(eta=0.5 if case == "clamp" else 0.01, tau=1e-3, psi=0.05,
                           epochs=4, shuffle_seed=2, variance_refresh=(case != "no-refresh"))
         want, want_trail, want_untraversed, clamps = oracle_train(net, records, cfg, smoothed)
-        got, result = train_edge_model(net, records, cfg, smoothed=smoothed)
+        got, result = train_edge_model(net, flows_on(net, records), cfg, smoothed=smoothed)
         assert got.c_by_segment == want.c_by_segment
         assert list(got.c_by_segment) == list(want.c_by_segment)
         assert got.sigma2 == want.sigma2
@@ -524,14 +537,15 @@ class TestColumnarTrainerMatchesOracle:
     def test_epochs_from_below_the_variance_floor(self, smoothed):
         net, records = corridor_set(n_records=300, seed=4)
         paths = resolve_paths(net, records)
+        flows = Flows.from_records(records, paths)
         cfg = TrainConfig(eta=0.01, psi=0.05, shuffle_seed=1)
-        want = init_edge_model(net, records, smoothed=smoothed)
+        want = init_edge_model(net, flows, smoothed=smoothed)
         want.sigma2 = SIGMA2_FLOOR / 2
         got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
         frozen = dict(want.c_by_segment)
         for epoch in range(3):
             want, want_sse, _ = oracle_sgd_epoch(want, records, paths, cfg, epoch)
-            got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+            got, got_sse = sgd_epoch(got, flows, cfg, epoch)
             assert got_sse == want_sse
             assert got.c_by_segment == want.c_by_segment
             assert got.sigma2 == want.sigma2
@@ -542,15 +556,16 @@ class TestColumnarTrainerMatchesOracle:
     def test_missing_speed_names_the_first_gap_in_record_order(self):
         net, records = corridor_set(n_records=200)
         paths = resolve_paths(net, records)
+        flows = Flows.from_records(records, paths)
         cfg = TrainConfig()
-        model = init_edge_model(net, records)
+        model = init_edge_model(net, flows)
         for key in (paths[9].segments[0].key, paths[5].segments[-1].key):
             model.c_by_segment.pop(key, None)
         with pytest.raises(MissingSegmentSpeed) as want:
             for r, p in zip(records, paths):
                 expected_time(model, p, r.distance_m)
-        for call in (lambda: sgd_epoch(model, records, paths, cfg),
-                     lambda: sse(model, records, paths),
+        for call in (lambda: sgd_epoch(model, flows, cfg),
+                     lambda: sse(model, flows),
                      lambda: score(model, records, net)):
             with pytest.raises(MissingSegmentSpeed) as got:
                 call()
@@ -615,16 +630,17 @@ class TestInlineStepMatchesOracle:
         for seed in self.SEEDS:
             net, records = random_corridor(seed)
             paths = resolve_paths(net, records)
+            flows = Flows.from_records(records, paths)
             lengths.update(len(p.segments) for p in paths)
             cfg = TrainConfig(eta=eta, tau=tau, psi=psi, shuffle_seed=seed,
                               variance_refresh=refresh)
-            want = init_edge_model(net, records, smoothed=smoothed)
+            want = init_edge_model(net, flows, smoothed=smoothed)
             if seed % 3 == 0:  # starts frozen; a refreshed sigma2 thaws it
                 want.sigma2 = SIGMA2_FLOOR / 2
             got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
             for epoch in range(3):
                 want, want_sse, n = oracle_sgd_epoch(want, records, paths, cfg, epoch)
-                got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+                got, got_sse = sgd_epoch(got, flows, cfg, epoch)
                 assert float_state(got, got_sse) == float_state(want, want_sse)
                 clamps += n
         assert min(lengths) == 1 and max(lengths) == 15
@@ -648,7 +664,8 @@ class TestInlineStepMatchesOracle:
                 continue
             want, _, _ = oracle_sgd_epoch(EdgeModel({("a", "b"): c}, 1.0, smoothed), [r],
                                           [path], cfg)
-            got, _ = sgd_epoch(EdgeModel({("a", "b"): c}, 1.0, smoothed), [r], [path], cfg)
+            got, _ = sgd_epoch(EdgeModel({("a", "b"): c}, 1.0, smoothed),
+                               Flows.from_records([r], [path]), cfg)
             assert got.c_by_segment[("a", "b")].hex() == want.c_by_segment[("a", "b")].hex()
             found += 1
         if not found:  # a correctly rounded libm pow gives c ** 2 == c * c throughout
@@ -660,51 +677,56 @@ class TestInlineStepMatchesOracle:
         # (psi * (inf - c) is nan), so an inf speed stays inf as in _partials
         net, records = random_corridor(2)
         paths = resolve_paths(net, records)
+        flows = Flows.from_records(records, paths)
         cfg = TrainConfig(eta=1e308, tau=1e-3, psi=psi, shuffle_seed=3)
-        want = init_edge_model(net, records, smoothed=smoothed)
+        want = init_edge_model(net, flows, smoothed=smoothed)
         got = EdgeModel(dict(want.c_by_segment), want.sigma2, smoothed)
         inf_speeds = 0
         for epoch in range(2):
             want, want_sse, _ = oracle_sgd_epoch(want, records, paths, cfg, epoch)
-            got, got_sse = sgd_epoch(got, records, paths, cfg, epoch)
+            got, got_sse = sgd_epoch(got, flows, cfg, epoch)
             assert float_state(got, got_sse) == float_state(want, want_sse)
             inf_speeds += sum(c == math.inf for c in got.c_by_segment.values())
         assert inf_speeds > 0
 
-    def test_train_edge_model_passes_record_paths_third(self):
+    def test_train_edge_model_passes_its_flows_each_epoch(self):
         net, records = random_corridor(1)
         cfg = TrainConfig(eta=0.01, epochs=2)
+        flows = flows_on(net, records)
         with mock.patch.object(models, "sgd_epoch", wraps=models.sgd_epoch) as spy:
-            train_edge_model(net, records, cfg)
+            train_edge_model(net, flows, cfg)
         assert spy.call_count == cfg.epochs
         want = [id(p) for p in resolve_paths(net, records)]
         for call in spy.call_args_list:
-            assert [id(p) for p in call.args[2]] == want
+            assert call.args[1] is flows
+            assert [id(p) for p in call.args[1].record_paths] == want
 
 
 class TestExpectedTimesMatchPerRecordLoop:
     """score() and sse() read per-path expected times equal to expected_time per record."""
 
-    def models(self, net, records, paths):
-        edge, _ = train_edge_model(net, records, TrainConfig(eta=0.01, epochs=2), paths=paths)
-        return [edge, fit_baseline1(records), fit_baseline2(records, paths)]
+    def models(self, net, flows):
+        edge, _ = train_edge_model(net, flows, TrainConfig(eta=0.01, epochs=2))
+        return [edge, fit_baseline1(flows), fit_baseline2(flows)]
 
     def test_score_and_sse(self):
         net, records = corridor_set()
         paths = resolve_paths(net, records)
-        for model in self.models(net, records, paths):
+        flows = Flows.from_records(records, paths)
+        for model in self.models(net, flows):
             want = [expected_time(model, p, r.distance_m) for r, p in zip(records, paths)]
             assert [s.expected_s for s in score(model, records, net)] == want
             want_sse = 0.0
             for r, t in zip(records, want):
                 want_sse += (r.observed_s - t) ** 2
-            assert sse(model, records, paths) == want_sse
+            assert sse(model, flows) == want_sse
 
     def test_squares_are_pow_not_product(self):
         # x ** 2 and x * x round apart for about 1 in 1000 residuals
         ts = (100.0 + np.random.default_rng(0).random(10_000)).tolist()
         t_end = next(t for t in ts if (t - 100.0) ** 2 != (t - 100.0) * (t - 100.0))
-        got = sse(Baseline1Model(1.0, 0.0), [rec(100.0, t_end)], [chain_path("ab", [100.0])])
+        got = sse(Baseline1Model(1.0, 0.0),
+                  Flows.from_records([rec(100.0, t_end)], [chain_path("ab", [100.0])]))
         assert got == (t_end - 100.0) ** 2
 
 
@@ -729,9 +751,10 @@ class TestLeftToRightSums:
         assert total_d == 1e16
         c = total_d / 30.0
         want_sigma2 = self.left_to_right((10.0 - r.distance_m / c) ** 2 for r in records) / total_d
-        b1 = fit_baseline1(records)
+        flows = Flows.from_records(records, [chain_path("ab", [1.0])] * 3)
+        b1 = fit_baseline1(flows)
         assert (b1.c, b1.sigma2) == (c, want_sigma2)
-        b2 = fit_baseline2(records, [chain_path("ab", [1.0])] * 3)
+        b2 = fit_baseline2(flows)
         assert (b2.fallback_c, b2.sigma2) == (c, want_sigma2)
 
     def test_mean_test_rmse(self):

@@ -19,6 +19,8 @@ from flowanomaly.synth import (
     write_truth,
 )
 
+from conftest import flows_on
+
 
 class TestGenerateNetwork:
     def test_linear_service_shape(self):
@@ -82,7 +84,8 @@ class TestGenerateRecords:
         truth = generate_network(cfg)
         records, _ = generate_records(truth, cfg)
         model, trail = train_edge_model(
-            truth.network, records, TrainConfig(eta=0.01, tau=0.0, epochs=2))
+            truth.network, flows_on(truth.network, records),
+            TrainConfig(eta=0.01, tau=0.0, epochs=2))
         # init already sits at the optimum; SSE is zero up to the rounding
         # residue the time representation leaves in the records
         assert trail.sse_by_epoch[-1] < 1e-12
