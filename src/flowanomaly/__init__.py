@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .anomaly import DetectConfig, filter_significant, rank_anomalies, score
-    from .core import resolve_paths
-    from .models import Flows, fit_edge_model
+    from .core import Flows, resolve_paths
+    from .models import fit_edge_model
     from .synth import SynthConfig, generate_network, generate_records
 
 __version__ = "0.1.0"
@@ -28,8 +28,8 @@ _MODULE_OF = {
     "filter_significant": "anomaly",
     "rank_anomalies": "anomaly",
     "score": "anomaly",
+    "Flows": "core",
     "resolve_paths": "core",
-    "Flows": "models",
     "fit_edge_model": "models",
     "SynthConfig": "synth",
     "generate_network": "synth",

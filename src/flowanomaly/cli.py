@@ -21,15 +21,18 @@ import argparse
 import math
 import os
 import sys
+from array import array
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 from . import recordio
 from .core import (
     DEFAULT_DISTANCE_TOLERANCE_M,
+    Flows,
     NetworkGraph,
-    FlowRecord,
+    Path,
     build_network,
+    check_record,
     resolve_path,
     resolve_paths,  # noqa: F401 - perfbench/tracing.py wraps these two names here
     validate_record,  # noqa: F401
@@ -166,13 +169,11 @@ def _network_from(args: argparse.Namespace) -> NetworkGraph:
 
 def _load_table(
     network: NetworkGraph, path: str, eps_d: float
-) -> tuple[recordio.RecordTable, list[int], models.Flows]:
+) -> tuple[recordio.RecordTable, list[int], Flows]:
     """The parsed table, the rows that resolve cleanly on the network, and their flows.
 
     Prints the parse rejects and the skipped count.
     """
-    from .models import Flows
-
     table, rejects = recordio.read_table(path)
     _print_rejects(rejects)
     flows, rows = Flows.from_table(table, network, eps_d)
@@ -321,24 +322,32 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     network = _network_from(args)
     model = models.load_model(args.model)
     table, rows, flows = _load_table(network, args.records, args.eps_d)
-    expected, alphas = anomaly._deviations(model, flows)
-    delta = anomaly._cutoff(alphas, cfg)
+    expected, alphas = anomaly.score(model, flows)
+    significant, delta = anomaly.filter_significant(alphas, cfg)
     recordio.write_scored(table, rows, flows.observed, expected, alphas, delta, args.out)
-    significant = sum(alpha > delta for alpha in alphas)
-    print(f"scored={len(rows)} significant={significant} delta={_fmt(delta)}")
+    print(f"scored={len(rows)} significant={len(significant)} delta={_fmt(delta)}")
     return 0
 
 
-def _load_scored(path: str, network: NetworkGraph) -> list[anomaly.ScoredRecord]:
-    """The significant rows of a scored file, each on its path in the network."""
-    from .anomaly import ScoredRecord
-
-    out = []
-    for *row, expected_s, alpha in recordio.read_significant(path):
-        found = resolve_path(network, *row[1:4])
-        record = FlowRecord(*row, found.distance_m)
-        out.append(ScoredRecord(record, found, alpha, expected_s))
-    return out
+def _load_scored(
+    source: str, network: NetworkGraph
+) -> tuple[Flows, Sequence[float], Sequence[float]]:
+    """The significant rows of a scored file as flows on the network, and their
+    expected times and ratios. Each distinct key is resolved once; a row's
+    distance is its path's."""
+    found: dict[tuple[str, ...], Path] = {}
+    rows, paths = [], []
+    for row in recordio.read_significant(source):
+        key = row[1:4]
+        if key not in found:
+            found[key] = resolve_path(network, *key)
+        paths.append(found[key])
+        check_record(row[0], *row[2:6], paths[-1].distance_m)
+        rows.append(row)
+    record_ids, _, _, _, t_start, t_end, expected, alphas = zip(*rows) if rows else [()] * 8
+    flows = Flows(list(record_ids), array("d", t_start), array("d", t_end),
+                  [p.distance_m for p in paths], paths)
+    return flows, expected, alphas
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
@@ -347,8 +356,8 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     # detect has checked the routes at its eps_d; here segment lengths only label
     # the report, so build_network keeps the first of each without a conflict check
     network = build_network(recordio.read_routes(args.routes), eps_d=math.inf)
-    filtered = _load_scored(args.scored, network)
-    reports = anomaly.rank_anomalies(filtered)
+    flows, expected, alphas = _load_scored(args.scored, network)
+    reports = anomaly.rank_anomalies(flows, range(len(flows)), alphas, expected)
     recordio.write_report(reports, args.out_report)
     daily = anomaly.daily_series(reports)
     recordio.write_daily(daily, args.out_daily)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import NetworkGraph, left_sum
+from .core import Flows, NetworkGraph, left_sum
 from .core import resolve_paths  # noqa: F401 - perfbench/tracing.py wraps this name here
 from .errors import EmptyInput, TooFewRecords
 from .models import (
@@ -15,7 +15,6 @@ from .models import (
     KIND_EDGE,
     KIND_SMOOTHED,
     MODEL_KINDS,
-    Flows,
     Model,
     fit_baseline1,
     fit_baseline2,

@@ -11,38 +11,34 @@ gradient ascent (train_edge_model, with TrainConfig's knobs) remains the
 reference that the gradient, convergence and speed-recovery tests exercise; no
 subcommand runs it.
 
-Every fit, fold and residual takes a Flows: records on their resolved paths,
-as columns of interned segment positions with one expected time per distinct
-path. Flows.from_table builds it from a parsed RecordTable and a network,
-keeping the rows that resolve within the distance tolerance; Flows.from_records
-builds it from a FlowRecord list and its parallel paths. Output stays
-byte-identical only while float sums are left-to-right += and squares are ** 2:
-on CPython 3.11, x ** 2 != x * x on 73 of 100k normal draws and np.add.reduceat
-differed from the left-to-right sum on 699 of 2000 random 1-15-segment paths;
-sum() of floats compensates from Python 3.12 on, so sums go through left_sum.
-The same holds for a view (kfold's folds): it keeps its records' order and
-copies their stored floats, so its sums add the values a record list would, in
-the same order.
+Every fit, fold and residual takes a Flows, which lives in core: records on
+their resolved paths, as columns of interned segment positions. expected_times
+gives each record its expected time from one per distinct path; anomaly.score
+reads it too. Output stays byte-identical only while float sums are
+left-to-right += and squares are ** 2: on CPython 3.11, x ** 2 != x * x on 73 of
+100k normal draws and np.add.reduceat differed from the left-to-right sum on 699
+of 2000 random 1-15-segment paths; sum() of floats compensates from Python 3.12
+on, so sums go through left_sum. The same holds for a view (kfold's folds): it
+keeps its records' order and copies their stored floats, so its sums add the
+values a record list would, in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import IO, Sequence, Union
 
-from .core import FlowRecord, NetworkGraph, NodeId, Path, Segment, left_sum, resolve_path
+from .core import FlowRecord, Flows, NetworkGraph, NodeId, Path, Segment, left_sum
 from .core import resolve_paths  # noqa: F401 - perfbench/tracing.py wraps this name here
 from .errors import (
     EmptyInput,
-    FlowError,
     MissingSegmentSpeed,
     NonPositiveVariance,
     SegmentNotOnPath,
 )
-from .recordio import RecordTable, format_float, read_lines, write_lines
+from .recordio import format_float, read_lines, write_lines
 
 KIND_BASELINE1 = "baseline1"
 KIND_BASELINE2 = "baseline2"
@@ -151,97 +147,13 @@ def path_key(path: Path) -> str:
     return ">".join(path.nodes)
 
 
-class Flows:
-    """Records on their resolved paths, as columns: the input of every fit, fold and residual.
-
-    Build one with from_table (a parsed RecordTable on a network, as the CLI
-    does) or from_records (a FlowRecord list and its parallel paths). Record k
-    has record_ids[k], record_paths[k], path_of[k], observed[k] (its
-    observed_s, in a float array) and distance[k]; distinct Path object j (in
-    order of first use) is paths[j], with segs[j] (speed positions) and
-    dists[j]; keys[i] is the segment that owns speed position i.
-    """
-
-    def __init__(self, record_ids: list[str], observed: array, distance: list[float],
-                 paths: Sequence[Path]):
-        self.record_ids, self.observed, self.distance = record_ids, observed, distance
-        self.record_paths = paths
-        first: dict[int, int] = {}
-        self.path_of = [first.setdefault(id(p), len(first)) for p in paths]
-        self.paths = list({id(p): p for p in paths}.values())
-        index: dict[tuple[NodeId, NodeId], int] = {}
-        # lists: resized tuple(generator) rows piled up in CPython's tuple free lists
-        self.segs = [[index.setdefault(s.key, len(index)) for s in p.segments]
-                     for p in self.paths]
-        self.dists = [[s.distance_m for s in p.segments] for p in self.paths]
-        self.keys = list(index)
-
-    @classmethod
-    def from_table(cls, table: RecordTable, network: NetworkGraph,
-                   eps_d: float) -> tuple[Flows, list[int]]:
-        """The table rows that resolve on the network, and those rows' indices.
-
-        A row is kept when its (service, origin, destination) resolves and its
-        distance is within eps_d of its path's. Each distinct key is resolved
-        once; only the distance check runs per row. A table with no row kept
-        raises EmptyInput.
-        """
-        by_key: list[Path | None] = []
-        for key in table.keys:
-            try:
-                by_key.append(resolve_path(network, *key))
-            except FlowError:
-                by_key.append(None)
-        rows, paths = [], []
-        for i, (k, d) in enumerate(zip(table.key_of, table.distance)):
-            path = by_key[k]
-            if path is not None and not abs(path.distance_m - d) > eps_d:
-                rows.append(i)
-                paths.append(path)
-        if not rows:
-            raise EmptyInput(
-                f"no usable records after validation (skipped_unresolvable={len(table)})"
-            )
-        t_start, t_end = table.t_start, table.t_end
-        flows = cls(
-            list(map(table.record_ids.__getitem__, rows)),
-            array("d", [t_end[i] - t_start[i] for i in rows]),
-            list(map(table.distance.__getitem__, rows)),
-            paths,
-        )
-        return flows, rows
-
-    @classmethod
-    def from_records(cls, records: Sequence[FlowRecord], paths: Sequence[Path]) -> Flows:
-        """The records on their paths, paths[k] being records[k]'s."""
-        if len(records) != len(paths):
-            raise ValueError("records and paths must be parallel")
-        return cls(
-            [r.record_id for r in records],
-            array("d", [r.t_end - r.t_start for r in records]),
-            [r.distance_m for r in records],
-            paths,
-        )
-
-    def __len__(self) -> int:
-        return len(self.path_of)
-
-    def view(self, rows: Sequence[int]) -> Flows:
-        """The given records, in the given order: the Flows of those records and paths."""
-        return Flows(
-            list(map(self.record_ids.__getitem__, rows)),
-            array("d", map(self.observed.__getitem__, rows)),
-            list(map(self.distance.__getitem__, rows)),
-            list(map(self.record_paths.__getitem__, rows)),
-        )
-
-    def expected_times(self, model: Model) -> list[float]:
-        """Per record, from one sum (edge model) or one speed (baseline) per distinct path."""
-        if isinstance(model, EdgeModel):
-            by_path = [expected_time(model, p, 0.0) for p in self.paths]
-            return [by_path[j] for j in self.path_of]
-        speed = [_path_speed(model, p) for p in self.paths]
-        return [d / speed[j] for j, d in zip(self.path_of, self.distance)]
+def expected_times(model: Model, flows: Flows) -> list[float]:
+    """Per record, from one sum (edge model) or one speed (baseline) per distinct path."""
+    if isinstance(model, EdgeModel):
+        by_path = [expected_time(model, p, 0.0) for p in flows.paths]
+        return [by_path[j] for j in flows.path_of]
+    speed = [_path_speed(model, p) for p in flows.paths]
+    return [d / speed[j] for j, d in zip(flows.path_of, flows.distance)]
 
 
 def _need_flows(flows: Flows) -> None:
@@ -383,7 +295,7 @@ def init_edge_model(g: NetworkGraph, flows: Flows, smoothed: bool = False) -> Ed
 def _residual_pass(model: Model, flows: Flows) -> tuple[float, float]:
     """Sum of squared residuals and total distance, each summed left to right."""
     _need_flows(flows)
-    resid = zip(flows.observed, flows.expected_times(model))
+    resid = zip(flows.observed, expected_times(model, flows))
     return left_sum((t - expect) ** 2 for t, expect in resid), left_sum(flows.distance)
 
 

@@ -350,8 +350,9 @@ def read_significant(
     and converted, so memory follows the significant set, not the file. Lines end
     where read_lines ends them (str.splitlines of each line read); blank lines and
     `#` comments are skipped, and the first other line must be the header. Every
-    row must have 10 fields: a row without raises ValueError when the iteration
-    reaches it, after the rows before it. Bytes that are not UTF-8 raise
+    row must have 10 fields, and a significant one must pass significant_row: a
+    row that does not raises ValueError when the iteration reaches it, after the
+    rows before it. Bytes that are not UTF-8 raise
     UnicodeDecodeError, a ValueError, when the block of the file that holds them
     is read. The file is closed when the iteration ends, fails or is closed.
     """
@@ -364,9 +365,21 @@ def read_significant(
             if ln.count(",") != 9:
                 raise ValueError(f"bad scored row: {ln!r}")
             if ln.endswith(",1"):  # the last of its 10 fields is "1"
-                parts = ln.split(",")
-                yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
-                       float(parts[8]))
+                yield significant_row(ln)
+
+
+def significant_row(ln: str) -> tuple[str, str, NodeId, NodeId, float, float, float, float]:
+    """A flagged scored line's fields; ValueError names a line whose times fail
+    parse_timestamp or whose expected_s or alpha is not finite."""
+    parts = ln.split(",")
+    try:
+        t0, t1 = parse_timestamp(parts[4]), parse_timestamp(parts[5])
+        expected_s, alpha = float(parts[7]), float(parts[8])
+        if not (math.isfinite(expected_s) and math.isfinite(alpha)):
+            raise ValueError("expected_s and alpha must be finite")
+    except ValueError as exc:
+        raise ValueError(f"bad scored row: {ln!r}: {exc}") from None
+    return (*parts[:4], t0, t1, expected_s, alpha)
 
 
 def write_report(reports: Sequence[AnomalyReport], dest: str | IO[str]) -> None:
@@ -376,11 +389,11 @@ def write_report(reports: Sequence[AnomalyReport], dest: str | IO[str]) -> None:
     labels: dict[tuple[NodeId, NodeId, float], str] = {}  # by fields: skips Segment.__hash__
     windows: dict[tuple[float, float], str] = {}
     for rank, rep in enumerate(reports, start=1):
-        s, r = rep.scored, rep.scored.record
+        nodes = rep.path.nodes
         head = (
-            f"{rank},{r.record_id},{f(s.alpha)},{rep.containment_count},"
-            f"{r.origin},{r.destination},{f(r.t_start)},{f(r.t_end)},"
-            f"{f(r.observed_s)},{f(s.expected_s)},|"
+            f"{rank},{rep.record_id},{f(rep.alpha)},{rep.containment_count},"
+            f"{nodes[0]},{nodes[-1]},{f(rep.t_start)},{f(rep.t_end)},"
+            f"{f(rep.t_end - rep.t_start)},{f(rep.expected_s)},|"
         )
         grouped: dict[tuple[float, float], list[str]] = {}  # windows in first-seen order
         for seg, w0, w1 in rep.congested_segments:

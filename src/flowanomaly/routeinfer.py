@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import DEFAULT_DISTANCE_TOLERANCE_M, FlowRecord, NodeId, ServiceRoute
+from .core import DEFAULT_DISTANCE_TOLERANCE_M, NodeId, ServiceRoute
 from .errors import DisconnectedEvidence, DuplicatePosition, InconsistentEvidence
 from .recordio import RecordTable
 
@@ -37,19 +37,16 @@ class RouteInferenceOutcome:
 
 
 def collect_evidence(
-    records: Iterable[FlowRecord] | RecordTable,
+    table: RecordTable,
     eps_d: float = DEFAULT_DISTANCE_TOLERANCE_M,
 ) -> tuple[dict[str, list[DistanceEvidence]], dict[str, str]]:
-    """Aggregate records (FlowRecords, or a parsed RecordTable) into per-service evidence.
+    """Aggregate a parsed record table into per-service evidence.
 
     Returns the evidence map and a map of services flagged inconsistent
     because two records disagree (beyond eps_d) on the same stop pair.
     Conflicts are recorded, never raised.
     """
-    if isinstance(records, RecordTable):
-        rows = zip(map(records.keys.__getitem__, records.key_of), records.distance)
-    else:
-        rows = (((r.service_id, r.origin, r.destination), r.distance_m) for r in records)
+    rows = zip(map(table.keys.__getitem__, table.key_of), table.distance)
     first: dict[tuple[str, NodeId, NodeId], float] = {}  # each pair's first distance
     support: dict[tuple[str, NodeId, NodeId], int] = {}
     flagged: dict[str, str] = {}
@@ -131,11 +128,11 @@ def infer_route(
 
 
 def infer_all_routes(
-    records: Iterable[FlowRecord] | RecordTable,
+    table: RecordTable,
     eps_d: float = DEFAULT_DISTANCE_TOLERANCE_M,
 ) -> RouteInferenceOutcome:
-    """Run evidence collection and per-service inference over a record set."""
-    evidence, flagged = collect_evidence(records, eps_d)
+    """Run evidence collection and per-service inference over a record table."""
+    evidence, flagged = collect_evidence(table, eps_d)
     outcome = RouteInferenceOutcome()
     for service_id in sorted(evidence):
         if service_id in flagged:

@@ -15,20 +15,17 @@ import pytest
 
 from flowanomaly.anomaly import (
     DetectConfig,
-    ScoredRecord,
     containment_counts,
-    contains,
     filter_significant,
     rank_anomalies,
     score,
 )
 from flowanomaly.cli import run_command
-from flowanomaly.core import resolve_paths
+from flowanomaly.core import Flows, resolve_paths
 from flowanomaly.evaluation import kfold
 from flowanomaly.models import (
     MODEL_KINDS,
     EdgeModel,
-    Flows,
     TrainConfig,
     expected_time,
     fit_baseline1,
@@ -46,7 +43,16 @@ from flowanomaly.synth import (
     generate_records,
 )
 
-from conftest import chain_path, flows_on, flows_straight, make_record
+from conftest import (
+    Trip,
+    chain_path,
+    contains,
+    count_trips,
+    flows_on,
+    flows_straight,
+    make_record,
+    table_of,
+)
 
 
 def report(num, name, ok, detail=""):
@@ -221,8 +227,7 @@ def _random_scored(rng, n):
         path = chain_path(nodes, [100.0] * (b - a))
         r = make_record(record_id=f"x{i}", origin=nodes[0], destination=nodes[-1],
                         t_start=t0, t_end=t1, distance_m=100.0 * (b - a))
-        out.append(ScoredRecord(record=r, path=path, alpha=float(rng.normal()),
-                                expected_s=r.observed_s))
+        out.append(Trip(r, path, float(rng.normal())))
     return out
 
 
@@ -250,7 +255,7 @@ def test_c06_containment_oracle():
     all_equal = True
     for n in sizes:
         filtered = _random_scored(rng, int(n))
-        all_equal &= containment_counts(filtered) == _oracle_counts(filtered)
+        all_equal &= count_trips(filtered) == _oracle_counts(filtered)
 
     pool = _random_scored(rng, 400)
     irreflexive = all(not contains(s, s) for s in pool)
@@ -304,11 +309,11 @@ def _run_congestion_day(seed, n_records=6000, planted=True, day_start=0.0,
     else:
         tcfg = TrainConfig(eta=0.002, tau=1e-4, epochs=30, c_min=0.1, shuffle_seed=7)
         model, _ = train_edge_model(truth.network, flows, tcfg)
-    scored = score(model, records, truth.network)
-    filtered, _ = filter_significant(scored, DetectConfig(delta_quantile=0.01))
-    counts = containment_counts(filtered)
-    reports = rank_anomalies(filtered)
-    return truth, filtered, counts, reports
+    expected, alphas = score(model, flows)
+    significant, _ = filter_significant(alphas, DetectConfig(delta_quantile=0.01))
+    counts = containment_counts(flows, significant)
+    reports = rank_anomalies(flows, significant, alphas, expected)
+    return truth, [alphas[i] for i in significant], counts, reports
 
 
 def _localized_days(closed_form=False):
@@ -347,11 +352,11 @@ def test_c08_day_ranking_by_containment():
     alpha_means = {}
     for day in range(10):
         day_start = day * 86400.0
-        _, filtered, counts, _ = _run_congestion_day(
+        _, significant_alphas, counts, _ = _run_congestion_day(
             500 + day, n_records=1500, planted=(day in planted_days),
             day_start=day_start)
         count_means[day] = statistics.fmean(counts.values())
-        alpha_means[day] = statistics.fmean(s.alpha for s in filtered)
+        alpha_means[day] = statistics.fmean(significant_alphas)
     top3_count = set(sorted(count_means, key=count_means.get, reverse=True)[:3])
     top3_alpha = sorted(alpha_means, key=alpha_means.get, reverse=True)[:3]
     ok = top3_count == planted_days
@@ -376,7 +381,7 @@ def test_c09_route_inference_round_trip():
                 destination=stops[j], t_start=0.0,
                 t_end=(cums[j] - cums[i]) / 8.0, distance_m=cums[j] - cums[i]))
             n += 1
-    outcome = infer_all_routes(records)
+    outcome = infer_all_routes(table_of(records))
     exact = not outcome.rejected and set(outcome.accepted) == set(truth.network.routes)
     for service_id, route in truth.network.routes.items():
         got = outcome.accepted[service_id]
@@ -393,7 +398,7 @@ def test_c09_route_inference_round_trip():
             record_id=f"bad_{service_id}", service_id=service_id,
             origin=route.stops[0], destination=route.stops[2],
             t_start=0.0, t_end=(d + 50.0) / 8.0, distance_m=d + 50.0))
-    outcome2 = infer_all_routes(records)
+    outcome2 = infer_all_routes(table_of(records))
     rejection = set(outcome2.rejected) == set(broken)
     rejection &= set(outcome2.accepted) == set(truth.network.routes) - set(broken)
     report(9, "route inference round trip + rejection", exact and rejection,

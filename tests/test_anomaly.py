@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,33 +10,39 @@ from flowanomaly.anomaly import (
     PROVENANCE_WITNESS,
     AnomalyReport,
     DetectConfig,
-    ScoredRecord,
-    containment_counts,
-    contains,
     daily_series,
     filter_significant,
-    rank_anomalies,
     score,
 )
 from flowanomaly.core import build_network
 from flowanomaly.errors import EmptyInput, ZeroVariance
 from flowanomaly.models import Baseline1Model
 
-from conftest import chain_path, make_record, make_route
+from conftest import (
+    Trip,
+    chain_path,
+    contains,
+    count_trips,
+    flows_on,
+    make_record,
+    make_route,
+    rank_trips,
+    report_key,
+    trip_key,
+)
 
 ROUTE_NODES = "ABCDEFGH"
 
 
-def scored(rid, o, d, t0, t1, alpha=1.0, expected=None):
-    """ScoredRecord on the shared A..H line with 100 m gaps."""
+def scored(rid, o, d, t0, t1, alpha=1.0):
+    """A trip on the shared A..H line with 100 m gaps."""
     i, j = ROUTE_NODES.index(o), ROUTE_NODES.index(d)
     path = chain_path(ROUTE_NODES[i : j + 1], [100.0] * (j - i))
     r = make_record(
         record_id=rid, service_id="s1", origin=o, destination=d,
         t_start=t0, t_end=t1, distance_m=100.0 * (j - i),
     )
-    return ScoredRecord(record=r, path=path, alpha=alpha,
-                        expected_s=expected if expected is not None else r.observed_s)
+    return Trip(r, path, alpha)
 
 
 class TestScore:
@@ -46,9 +53,9 @@ class TestScore:
         model = Baseline1Model(c=15.0, sigma2=1.0)  # expected 300/15 = 20 s
         r = make_record(origin="a", destination="b", t_start=0.0, t_end=30.0,
                         distance_m=300.0)
-        (s,) = score(model, [r], self.net)
-        assert math.isclose(s.alpha, 10.0 / math.sqrt(300.0), rel_tol=1e-12)
-        assert s.expected_s == 20.0
+        [expected], [alpha] = score(model, flows_on(self.net, [r]))
+        assert math.isclose(alpha, 10.0 / math.sqrt(300.0), rel_tol=1e-12)
+        assert expected == 20.0
 
     def test_zero_and_negative(self):
         model = Baseline1Model(c=15.0, sigma2=1.0)
@@ -56,47 +63,41 @@ class TestScore:
                            distance_m=300.0)
         r_fast = make_record(record_id="r2", origin="a", destination="b",
                              t_start=0.0, t_end=10.0, distance_m=300.0)
-        s_eq, s_fast = score(model, [r_eq, r_fast], self.net)
-        assert s_eq.alpha == 0.0
-        assert s_fast.alpha < 0.0
+        _, (a_eq, a_fast) = score(model, flows_on(self.net, [r_eq, r_fast]))
+        assert a_eq == 0.0
+        assert a_fast < 0.0
 
     def test_zero_variance(self):
         model = Baseline1Model(c=15.0, sigma2=0.0)
         r = make_record(origin="a", destination="b", distance_m=300.0)
         with pytest.raises(ZeroVariance):
-            score(model, [r], self.net)
+            score(model, flows_on(self.net, [r]))
 
 
 class TestFilterSignificant:
     def test_top_one_of_hundred(self):
-        records = [scored(f"r{i}", "A", "B", 0.0, 10.0, alpha=float(i + 1))
-                   for i in range(100)]
-        kept, delta = filter_significant(records, DetectConfig(delta_quantile=0.01))
+        alphas = [float(i + 1) for i in range(100)]
+        kept, delta = filter_significant(alphas, DetectConfig(delta_quantile=0.01))
         assert delta == 99.0
-        assert [s.record.record_id for s in kept] == ["r99"]
+        assert kept == [99]
 
     def test_override_zero_keeps_positive(self):
-        records = [scored("r1", "A", "B", 0.0, 10.0, alpha=-1.0),
-                   scored("r2", "A", "B", 0.0, 10.0, alpha=0.0),
-                   scored("r3", "A", "B", 0.0, 10.0, alpha=2.0)]
-        kept, delta = filter_significant(records, DetectConfig(delta_override=0.0))
+        kept, delta = filter_significant([-1.0, 0.0, 2.0], DetectConfig(delta_override=0.0))
         assert delta == 0.0
-        assert [s.record.record_id for s in kept] == ["r3"]
+        assert kept == [2]
 
     def test_all_tied_filters_to_nothing(self):
-        records = [scored(f"r{i}", "A", "B", 0.0, 10.0, alpha=3.0) for i in range(10)]
-        kept, delta = filter_significant(records, DetectConfig(delta_quantile=0.1))
+        kept, delta = filter_significant([3.0] * 10, DetectConfig(delta_quantile=0.1))
         assert delta == 3.0
         assert kept == []
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(1)
-        records = [scored(f"r{i}", "A", "B", 0.0, 10.0, alpha=float(a))
-                   for i, a in enumerate(rng.normal(size=200))]
+        alphas = rng.normal(size=200).tolist()
         previous = None
         for delta in (-1.0, 0.0, 0.5, 1.5):
-            kept, _ = filter_significant(records, DetectConfig(delta_override=delta))
-            ids = {s.record.record_id for s in kept}
+            kept, _ = filter_significant(alphas, DetectConfig(delta_override=delta))
+            ids = set(kept)
             if previous is not None:
                 assert ids <= previous
             previous = ids
@@ -113,10 +114,10 @@ class TestFilterSignificant:
             DetectConfig(delta_override=math.nan)
 
     def test_infinite_override_keeps_all_or_none(self):
-        records = [scored(f"r{i}", "A", "B", 0.0, 10.0, alpha=float(i)) for i in range(3)]
-        kept, _ = filter_significant(records, DetectConfig(delta_override=-math.inf))
-        assert len(kept) == 3
-        assert filter_significant(records, DetectConfig(delta_override=math.inf))[0] == []
+        alphas = [0.0, 1.0, 2.0]
+        kept, _ = filter_significant(alphas, DetectConfig(delta_override=-math.inf))
+        assert kept == [0, 1, 2]
+        assert filter_significant(alphas, DetectConfig(delta_override=math.inf))[0] == []
 
 
 class TestContains:
@@ -143,7 +144,7 @@ class TestContains:
         other_path = chain_path(("A", "X", "D"), [100.0, 100.0])
         r = make_record(record_id="in", service_id="s2", origin="A", destination="D",
                         t_start=10.0, t_end=90.0, distance_m=200.0)
-        inner = ScoredRecord(record=r, path=other_path, alpha=1.0, expected_s=80.0)
+        inner = Trip(r, other_path)
         assert not contains(outer, inner)
 
     def test_cross_service_containment_allowed(self):
@@ -151,8 +152,7 @@ class TestContains:
         outer = scored("out", "A", "D", 0.0, 1000.0)
         r = make_record(record_id="in", service_id="other", origin="B",
                         destination="C", t_start=100.0, t_end=900.0, distance_m=100.0)
-        inner = ScoredRecord(record=r, path=chain_path("BC", [100.0]), alpha=1.0,
-                             expected_s=800.0)
+        inner = Trip(r, chain_path("BC", [100.0]))
         assert contains(outer, inner)
 
 
@@ -220,8 +220,20 @@ def oracle_localize(r_outer, filtered):
 
 def report_for(r_outer, filtered):
     """The rank_anomalies report of one record of the significant set."""
-    reports = rank_anomalies(filtered)
-    return next(rep for rep in reports if rep.scored is r_outer)
+    return next(rep for rep in rank_trips(filtered) if report_key(rep) == trip_key(r_outer))
+
+
+def assert_reports_match_oracle(reports, filtered):
+    """Each row has one report, whose count, segments and provenance are the
+    oracle's; rows with equal trip keys have equal reports, so keys pair them."""
+    assert Counter(map(report_key, reports)) == Counter(map(trip_key, filtered))
+    want = {trip_key(s): (n, *oracle_localize(s, filtered))
+            for s, n in zip(filtered, oracle_row_counts(filtered))}
+    for rep in reports:
+        count, entries, provenance = want[report_key(rep)]
+        assert rep.containment_count == count
+        assert rep.provenance == provenance
+        assert list(rep.congested_segments) == entries
 
 
 def entry_keys(rep):
@@ -233,22 +245,22 @@ class TestContainmentCounts:
         outer = scored("outer", "A", "F", 0.0, 1000.0)
         middle = scored("middle", "B", "E", 100.0, 900.0)
         inner = scored("inner", "C", "D", 200.0, 800.0)
-        counts = containment_counts([outer, middle, inner])
+        counts = count_trips([outer, middle, inner])
         assert counts == {"outer": 0, "middle": 1, "inner": 2}
 
     def test_disjoint_records(self):
         a = scored("a", "A", "B", 0.0, 100.0)
         b = scored("b", "C", "D", 200.0, 300.0)
-        assert containment_counts([a, b]) == {"a": 0, "b": 0}
+        assert count_trips([a, b]) == {"a": 0, "b": 0}
 
     def test_single(self):
-        assert containment_counts([scored("a", "A", "B", 0.0, 1.0)]) == {"a": 0}
+        assert count_trips([scored("a", "A", "B", 0.0, 1.0)]) == {"a": 0}
 
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
             filtered = random_scored(rng, 60)
-            assert containment_counts(filtered) == oracle_counts(filtered)
+            assert count_trips(filtered) == oracle_counts(filtered)
 
 
 class TestRankAnomalies:
@@ -257,20 +269,20 @@ class TestRankAnomalies:
         r2 = scored("r2", "B", "E", 100.0, 900.0, alpha=2.0)
         r3 = scored("r3", "C", "D", 200.0, 800.0, alpha=0.5)
         filtered = [r1, r2, r3]
-        reports = rank_anomalies(filtered)
-        assert [rep.scored.record.record_id for rep in reports] == ["r3", "r2", "r1"]
+        reports = rank_trips(filtered)
+        assert [rep.record_id for rep in reports] == ["r3", "r2", "r1"]
 
     def test_alpha_breaks_count_ties(self):
         a = scored("a", "A", "B", 0.0, 100.0, alpha=3.0)
         b = scored("b", "C", "D", 0.0, 100.0, alpha=2.0)
-        reports = rank_anomalies([b, a])
-        assert [rep.scored.record.record_id for rep in reports] == ["a", "b"]
+        reports = rank_trips([b, a])
+        assert [rep.record_id for rep in reports] == ["a", "b"]
 
     def test_id_breaks_full_ties(self):
         a = scored("a", "A", "B", 0.0, 100.0, alpha=1.0)
         b = scored("b", "C", "D", 0.0, 100.0, alpha=1.0)
-        reports = rank_anomalies([b, a])
-        assert [rep.scored.record.record_id for rep in reports] == ["a", "b"]
+        reports = rank_trips([b, a])
+        assert [rep.record_id for rep in reports] == ["a", "b"]
 
     def test_rows_sharing_a_record_id_keep_their_own_counts(self):
         # "dup" A>B starts with o0 and ends before o1 does, so nothing contains it;
@@ -278,32 +290,24 @@ class TestRankAnomalies:
         outers = [scored(f"o{k}", "A", "D", 10.0 * k, 1000.0 - 10.0 * k) for k in range(3)]
         free = scored("dup", "A", "B", 0.0, 50.0)
         nested = scored("dup", "B", "C", 400.0, 500.0)
-        reports = rank_anomalies([*outers, free, nested])
-        by_row = {id(rep.scored): rep.containment_count for rep in reports}
-        assert by_row[id(free)] == 0
-        assert by_row[id(nested)] == 3
+        reports = rank_trips([*outers, free, nested])
+        by_row = {report_key(rep): rep.containment_count for rep in reports}
+        assert by_row[trip_key(free)] == 0
+        assert by_row[trip_key(nested)] == 3
 
     def test_row_counts_match_oracle_with_repeated_ids(self):
         rng = np.random.default_rng(78)
         for _ in range(5):
             filtered = random_scored(rng, 60, repeat_ids=True)
-            assert containment_counts(filtered) == oracle_counts(filtered)
-            want = dict(zip(map(id, filtered), oracle_row_counts(filtered)))
-            reports = rank_anomalies(filtered)
-            assert any(want[id(rep.scored)] for rep in reports)
-            for rep in reports:
-                assert rep.containment_count == want[id(rep.scored)]
+            assert count_trips(filtered) == oracle_counts(filtered)
+            reports = rank_trips(filtered)
+            assert any(rep.containment_count for rep in reports)
+            assert_reports_match_oracle(reports, filtered)
 
     def test_congestion_matches_standalone_localize(self):
         rng = np.random.default_rng(5)
         filtered = random_scored(rng, 40)
-        reports = rank_anomalies(filtered)
-        by_id = {rep.scored.record.record_id: rep for rep in reports}
-        for s in filtered:
-            entries, provenance = oracle_localize(s, filtered)
-            rep = by_id[s.record.record_id]
-            assert rep.provenance == provenance
-            assert list(rep.congested_segments) == entries
+        assert_reports_match_oracle(rank_trips(filtered), filtered)
 
 
 class TestLocalize:
@@ -357,7 +361,7 @@ class CorridorTrips:
         r = make_record(record_id=rid, service_id=f"svc{k}", origin=nodes[0],
                         destination=nodes[-1], t_start=t0, t_end=t1,
                         distance_m=path.distance_m)
-        return ScoredRecord(record=r, path=path, alpha=alpha, expected_s=r.observed_s)
+        return Trip(r, path, alpha)
 
     def random_set(self, rng, n):
         """n trips on a 10 s time grid (ties are common), with duplicated ids,
@@ -393,15 +397,9 @@ class TestContainmentIndex:
         trips = CorridorTrips()
         for _ in range(4):
             filtered = trips.random_set(rng, 120)
-            counts = containment_counts(filtered)
+            counts = count_trips(filtered)
             assert counts == oracle_counts(filtered)
-            reports = rank_anomalies(filtered)
-            assert sorted(map(id, (rep.scored for rep in reports))) == sorted(
-                map(id, filtered))
-            for rep in reports:
-                entries, provenance = oracle_localize(rep.scored, filtered)
-                assert rep.provenance == provenance
-                assert list(rep.congested_segments) == entries
+            assert_reports_match_oracle(rank_trips(filtered), filtered)
 
     def test_matches_brute_force_on_a_few_shared_node_sequences(self):
         # most rows share one of five node sequences, so each sequence's runs,
@@ -417,15 +415,10 @@ class TestContainmentIndex:
             filtered.append(trips.trip(f"r{m // 2}" if m % 5 == 0 else f"r{m}", k, i, j,
                                        t0, t1, alpha=float(rng.normal())))
         assert len({s.path.nodes for s in filtered}) == len(stretches)
-        assert containment_counts(filtered) == oracle_counts(filtered)
-        want = dict(zip(map(id, filtered), oracle_row_counts(filtered)))
-        reports = rank_anomalies(filtered)
+        assert count_trips(filtered) == oracle_counts(filtered)
+        reports = rank_trips(filtered)
         assert sum(rep.provenance == PROVENANCE_WITNESS for rep in reports) > 10
-        for rep in reports:
-            assert rep.containment_count == want[id(rep.scored)]
-            entries, provenance = oracle_localize(rep.scored, filtered)
-            assert rep.provenance == provenance
-            assert list(rep.congested_segments) == entries
+        assert_reports_match_oracle(reports, filtered)
 
     def test_strict_nesting_at_window_bounds(self):
         trips = CorridorTrips()
@@ -435,7 +428,7 @@ class TestContainmentIndex:
         inside = trips.trip("c", 3, 2, 5, 100.5, 199.5)
         twin = trips.trip("outer", 0, 1, 6, 100.0, 200.0)
         filtered = [outer, same_start, same_end, inside, twin]
-        assert containment_counts(filtered) == {"outer": 0, "a": 0, "b": 0, "c": 2}
+        assert count_trips(filtered) == {"outer": 0, "a": 0, "b": 0, "c": 2}
         rep = report_for(outer, filtered)
         assert rep.provenance == PROVENANCE_WITNESS
         assert entry_keys(rep) == [
@@ -465,8 +458,8 @@ class TestContainmentIndex:
             filtered.append(trips.trip(f"r{m}", int(rng.integers(0, 4)), i, j, t0,
                                        t0 + float(rng.uniform(60.0, 600.0))))
         started = time.perf_counter()
-        counts = containment_counts(filtered)
-        reports = rank_anomalies(filtered)
+        counts = count_trips(filtered)
+        reports = rank_trips(filtered)
         elapsed = time.perf_counter() - started
         assert len(reports) == 20000
         assert sum(counts.values()) > 0
@@ -494,24 +487,25 @@ class TestRelationProperties:
                         t_start=0.0, t_end=20.0 + i, distance_m=300.0)
             for i in range(5)
         ]
-        base = score(Baseline1Model(c=15.0, sigma2=4.0), records, net)
+        _, base = score(Baseline1Model(c=15.0, sigma2=4.0), flows_on(net, records))
         k = 7.0
         scaled_records = [
             make_record(record_id=r.record_id, origin="a", destination="b",
                         t_start=0.0, t_end=k * r.t_end, distance_m=300.0)
             for r in records
         ]
-        scaled = score(Baseline1Model(c=15.0 / k, sigma2=4.0 * k * k),
-                       scaled_records, net)
+        _, scaled = score(Baseline1Model(c=15.0 / k, sigma2=4.0 * k * k),
+                          flows_on(net, scaled_records))
         for s, t in zip(base, scaled):
-            assert math.isclose(s.alpha, t.alpha, rel_tol=1e-12)
+            assert math.isclose(s, t, rel_tol=1e-12)
 
 
 class TestDailySeries:
     def mkreport(self, rid, day_ts, count, alpha):
-        s = scored(rid, "A", "B", day_ts, day_ts + 60.0, alpha=alpha)
-        return AnomalyReport(scored=s, containment_count=count,
-                             congested_segments=(), provenance=PROVENANCE_SELF)
+        return AnomalyReport(record_id=rid, path=chain_path("AB", [100.0]), t_start=day_ts,
+                             t_end=day_ts + 60.0, alpha=alpha, expected_s=60.0,
+                             containment_count=count, congested_segments=(),
+                             provenance=PROVENANCE_SELF)
 
     def test_single_day_stats(self):
         day = 86400.0 * 10

@@ -19,6 +19,7 @@ from flowanomaly.recordio import (
     format_float,
     parse_records,
     read_routes,
+    read_significant,
 )
 
 from conftest import flows_on
@@ -534,6 +535,34 @@ class TestPipeline:
         assert len(daily_path.read_text().splitlines()) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("row, error", [
+        ("r2,s1,b,c,-1e300,120,600,60,9,1",
+         "bad scored row: 'r2,s1,b,c,-1e300,120,600,60,9,1': "
+         "time '-1e300' is outside years 1-9999 UTC"),
+        ("r2,s1,b,c,60,inf,600,60,9,1",
+         "bad scored row: 'r2,s1,b,c,60,inf,600,60,9,1': time 'inf' is not finite"),
+        ("r2,s1,b,c,60,120,60,60,nan,1",
+         "bad scored row: 'r2,s1,b,c,60,120,60,60,nan,1': expected_s and alpha must be finite"),
+        ("r2,s1,b,c,60,120,60,inf,9,1",
+         "bad scored row: 'r2,s1,b,c,60,120,60,inf,9,1': expected_s and alpha must be finite"),
+        ("r2,s1,b,c,120,120,0,60,9,1", "record 'r2': t_end must exceed t_start"),
+        ("r2,s9,b,c,60,120,60,60,9,1", "unknown service 's9'"),
+        ("r2,s1,c,a,60,120,60,60,9,1", "destination 'a' precedes origin 'c' on service 's1'"),
+        ("r2,s1,b,b,60,120,60,60,9,1",
+         "stop 'b' cannot anchor a path on service 's1' (origin equals destination)"),
+    ], ids=["early-start", "infinite-end", "nan-alpha", "infinite-expected", "no-duration",
+            "unknown-service", "wrong-direction", "origin-is-destination"])
+    def test_localize_bad_significant_row_is_one_error_line(self, tmp_path, capsys, row, error):
+        routes, scored = tmp_path / "routes.csv", tmp_path / "scored.csv"
+        routes.write_text("service_id,seq,stop,cumulative_m\n"
+                          "s1,0,a,0\ns1,1,b,400\ns1,2,c,1000\ns1,3,d,1500\n")
+        scored.write_text(f"# delta=1\n{SCORED_HEADER}\nr1,s1,a,d,0,200,200,150,5,1\n{row}\n")
+        report, daily = tmp_path / "report.csv", tmp_path / "daily.csv"
+        assert run("localize", "--scored", str(scored), "--routes", str(routes),
+                   "--out-report", str(report), "--out-daily", str(daily)) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not report.exists() and not daily.exists()
+
     @pytest.mark.parametrize("via_config", [False, True])
     def test_localize_takes_the_routes_detect_took(self, tmp_path, capsys, via_config):
         # segment A>B is 1000 m on s1 and 1003 m on s2: within eps_d 5, beyond 1 m
@@ -643,7 +672,6 @@ def oracle_report_lines(reports):
     """The report.csv line loop that formatted every field of every window afresh."""
     lines = [REPORT_HEADER]
     for rank, rep in enumerate(reports, start=1):
-        r = rep.scored.record
         window_order = []
         grouped = {}
         for seg, w0, w1 in rep.congested_segments:
@@ -658,10 +686,10 @@ def oracle_report_lines(reports):
                 for s in grouped[(w0, w1)]
             ) + "|"
             lines.append(
-                f"{rank},{r.record_id},{format_float(rep.scored.alpha)},"
-                f"{rep.containment_count},{r.origin},{r.destination},"
-                f"{format_float(r.t_start)},{format_float(r.t_end)},"
-                f"{format_float(r.observed_s)},{format_float(rep.scored.expected_s)},"
+                f"{rank},{rep.record_id},{format_float(rep.alpha)},"
+                f"{rep.containment_count},{rep.path.nodes[0]},{rep.path.nodes[-1]},"
+                f"{format_float(rep.t_start)},{format_float(rep.t_end)},"
+                f"{format_float(rep.t_end - rep.t_start)},{format_float(rep.expected_s)},"
                 f"{segs},{format_float(w0)},{format_float(w1)},{rep.provenance}"
             )
     return lines
@@ -675,11 +703,11 @@ class TestReportWriterMatchesLoop:
         assert run("localize", "--scored", str(scored), "--routes", str(routes),
                    "--out-report", str(report), "--out-daily", str(tmp_path / "daily.csv")) == 0
         network = build_network(read_routes(str(routes)))
-        filtered = cli._load_scored(str(scored), network)
-        reports = anomaly.rank_anomalies(filtered)
+        flows, expected, alphas = cli._load_scored(str(scored), network)
+        reports = anomaly.rank_anomalies(flows, range(len(flows)), alphas, expected)
         want = "".join(ln + "\n" for ln in oracle_report_lines(reports))
         assert report.read_text() == want
-        return [ln.split(",") for ln in want.splitlines()[1:]], filtered
+        return [ln.split(",") for ln in want.splitlines()[1:]]
 
     def test_shared_corridor_pipeline(self, tmp_path):
         rec_path = tmp_path / "records.csv"
@@ -696,8 +724,8 @@ class TestReportWriterMatchesLoop:
                    "--epochs", "3", "--eta", "0.01", "--out-model", str(model)) == 0
         assert run("detect", "--records", str(rec_path), "--routes", str(routes),
                    "--model", str(model), "--delta-quantile", "0.3", "--out", str(scored)) == 0
-        rows, filtered = self.localize(tmp_path, scored, routes)
-        service_of = {s.record.record_id: s.record.service_id for s in filtered}
+        rows = self.localize(tmp_path, scored, routes)
+        service_of = {row[0]: row[1] for row in read_significant(str(scored))}
         windows_of, services_of = {}, {}
         for row in rows:
             windows_of.setdefault((row[0], row[13]), set()).add((row[11], row[12]))
@@ -720,7 +748,7 @@ class TestReportWriterMatchesLoop:
             "neg,s1,b,c,-0,500,500,10,50,1\n"
             "pos,s1,c,d,0,500,500,10,40,1\n"
         )
-        rows, _ = self.localize(tmp_path, scored, routes)
+        rows = self.localize(tmp_path, scored, routes)
         assert {(row[1], row[11]) for row in rows} >= {("neg", "-0"), ("pos", "0")}
 
 

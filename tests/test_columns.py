@@ -19,12 +19,11 @@ import pytest
 
 from flowanomaly import anomaly, cli
 from flowanomaly.anomaly import DetectConfig, filter_significant, score
-from flowanomaly.core import FlowRecord, build_network, resolve_paths, validate_record
+from flowanomaly.core import FlowRecord, Flows, build_network, resolve_paths, validate_record
 from flowanomaly.errors import FlowError
 from flowanomaly.evaluation import TrialRow, kfold, make_folds, rmse
 from flowanomaly.models import (
     MODEL_KINDS,
-    Flows,
     fit_baseline1,
     fit_baseline2,
     fit_edge_model,
@@ -42,7 +41,7 @@ from flowanomaly.recordio import (
 from flowanomaly.routeinfer import collect_evidence
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
-from conftest import flows_on, make_record, make_route
+from conftest import flows_on, make_record, make_route, table_of
 from test_ingest_oracles import oracle_parse_row, random_records, to_csv
 
 
@@ -50,6 +49,8 @@ def column_fields(flows):
     """Everything a Flows holds, with Paths by identity and floats as hex."""
     return (
         flows.record_ids,
+        [t.hex() for t in flows.t_start],
+        [t.hex() for t in flows.t_end],
         [t.hex() for t in flows.observed],
         [d.hex() for d in flows.distance],
         [id(p) for p in flows.record_paths],
@@ -164,7 +165,7 @@ class TestEvidenceFromTable:
             table, _ = read_table(io.StringIO(buf.getvalue()))
             for eps_d in (0.0, 0.5, 1.0, 1e9):
                 got = collect_evidence(table, eps_d)
-                want = collect_evidence(records, eps_d)
+                want = collect_evidence(table_of(records), eps_d)
                 assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
 
@@ -295,15 +296,15 @@ class TestDetectMatchesScore:
                 continue
             kept.append(r)
         assert len(kept) == len(records) - 1
-        rows = score(load_model(str(model_path)), kept, network)
-        _, delta = filter_significant(rows, DetectConfig(delta_quantile=0.05))
+        expected, alphas = score(load_model(str(model_path)), flows_on(network, kept))
+        _, delta = filter_significant(alphas, DetectConfig(delta_quantile=0.05))
         f = format_float
         want = [f"# delta={f(delta)}", SCORED_HEADER] + [
-            f"{s.record.record_id},{s.record.service_id},{s.record.origin},"
-            f"{s.record.destination},{f(s.record.t_start)},{f(s.record.t_end)},"
-            f"{f(s.record.observed_s)},{f(s.expected_s)},{f(s.alpha)},"
-            f"{1 if s.alpha > delta else 0}"
-            for s in rows
+            f"{r.record_id},{r.service_id},{r.origin},"
+            f"{r.destination},{f(r.t_start)},{f(r.t_end)},"
+            f"{f(r.observed_s)},{f(expect)},{f(alpha)},"
+            f"{1 if alpha > delta else 0}"
+            for r, expect, alpha in zip(kept, expected, alphas)
         ]
         assert scored.read_text().splitlines() == want
 

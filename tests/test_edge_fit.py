@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from flowanomaly import cli
-from flowanomaly.core import build_network, resolve_paths
+from flowanomaly.core import Flows, build_network, resolve_paths
 from flowanomaly.models import (
     EdgeModel,
-    Flows,
     TrainConfig,
     expected_time,
     fit_baseline1,

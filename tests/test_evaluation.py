@@ -3,10 +3,10 @@ import math
 import pytest
 
 from flowanomaly import evaluation
-from flowanomaly.core import build_network
+from flowanomaly.core import Flows, build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
 from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
-from flowanomaly.models import Baseline1Model, Flows, fit_baseline1, sse
+from flowanomaly.models import Baseline1Model, fit_baseline1, sse
 from flowanomaly.synth import SynthConfig, generate_network, generate_records
 
 from conftest import chain_path, flows_on, flows_straight, make_record, make_route

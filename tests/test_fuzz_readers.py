@@ -23,6 +23,7 @@ from flowanomaly.recordio import (
     read_lines,
     read_routes,
     read_significant,
+    significant_row,
 )
 
 ROUTES = ROUTES_HEADER + "\n" + (
@@ -182,7 +183,10 @@ def test_model_key_may_not_repeat(tmp_path, text, line):
 
 
 def whole_file_read_significant(path):
-    """The reader that read and split every line of the file first: the reference."""
+    """The reader that read and split every line of the file first: the reference.
+
+    A flagged row's fields come from significant_row, as the streaming reader's do.
+    """
     body = [ln for ln in read_lines(path) if ln and not ln.startswith("#")]
     if not body or body[0] != SCORED_HEADER:
         raise ValueError(f"bad scored-file header in {path!r}")
@@ -191,8 +195,7 @@ def whole_file_read_significant(path):
         if len(parts) != 10:
             raise ValueError(f"bad scored row: {ln!r}")
         if parts[9] == "1":
-            yield (*parts[:4], float(parts[4]), float(parts[5]), float(parts[7]),
-                   float(parts[8]))
+            yield significant_row(ln)
 
 
 def outcome(reader, path):

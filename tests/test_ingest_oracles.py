@@ -24,7 +24,7 @@ from flowanomaly.errors import AllRowsRejected
 from flowanomaly.recordio import EARTH_EQUATOR_M, RECORD_HEADER, parse_records, parse_timestamp
 from flowanomaly.routeinfer import DistanceEvidence, collect_evidence
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 
 def oracle_parse_timestamp(text):
@@ -241,6 +241,6 @@ class TestEvidenceMatchesOracle:
             rng = random.Random(seed)
             records = random_records(rng, rng.randrange(0, 40))
             for eps_d in (0.0, 0.5, DEFAULT_DISTANCE_TOLERANCE_M, 1e9):
-                got = collect_evidence(records, eps_d)
+                got = collect_evidence(table_of(records), eps_d)
                 want = oracle_collect_evidence(records, eps_d)
                 assert [list(d.items()) for d in got] == [list(d.items()) for d in want]

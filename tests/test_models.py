@@ -8,7 +8,7 @@ import pytest
 
 from flowanomaly import models
 from flowanomaly.anomaly import score
-from flowanomaly.core import build_network, left_sum
+from flowanomaly.core import Flows, build_network, left_sum
 from flowanomaly.errors import (
     EmptyInput,
     MissingSegmentSpeed,
@@ -21,7 +21,6 @@ from flowanomaly.models import (
     Baseline1Model,
     Baseline2Model,
     EdgeModel,
-    Flows,
     TrainConfig,
     estimate_variance,
     expected_time,
@@ -566,7 +565,7 @@ class TestColumnarTrainerMatchesOracle:
                 expected_time(model, p, r.distance_m)
         for call in (lambda: sgd_epoch(model, flows, cfg),
                      lambda: sse(model, flows),
-                     lambda: score(model, records, net)):
+                     lambda: score(model, flows)):
             with pytest.raises(MissingSegmentSpeed) as got:
                 call()
             assert str(got.value) == str(want.value)
@@ -715,7 +714,7 @@ class TestExpectedTimesMatchPerRecordLoop:
         flows = Flows.from_records(records, paths)
         for model in self.models(net, flows):
             want = [expected_time(model, p, r.distance_m) for r, p in zip(records, paths)]
-            assert [s.expected_s for s in score(model, records, net)] == want
+            assert score(model, flows)[0] == want
             want_sse = 0.0
             for r, t in zip(records, want):
                 want_sse += (r.observed_s - t) ** 2

@@ -15,7 +15,7 @@ from flowanomaly.routeinfer import (
 )
 from flowanomaly.synth import SynthConfig, generate_network
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 
 def ev(frm, to, d, service="s1", support=1):
@@ -32,19 +32,19 @@ def rec(service, frm, to, d, rid):
 class TestCollectEvidence:
     def test_support_accumulates(self):
         records = [rec("s1", "a", "b", 300.0, "r1"), rec("s1", "a", "b", 300.0, "r2")]
-        evidence, flagged = collect_evidence(records)
+        evidence, flagged = collect_evidence(table_of(records))
         assert not flagged
         (e,) = evidence["s1"]
         assert (e.from_node, e.to_node, e.distance_m, e.support) == ("a", "b", 300.0, 2)
 
     def test_conflict_flags_service(self):
         records = [rec("s1", "a", "b", 300.0, "r1"), rec("s1", "a", "b", 400.0, "r2")]
-        evidence, flagged = collect_evidence(records)
+        evidence, flagged = collect_evidence(table_of(records))
         assert "s1" in flagged
         assert "disagree" in flagged["s1"]
 
     def test_empty_input(self):
-        assert collect_evidence([]) == ({}, {})
+        assert collect_evidence(table_of([])) == ({}, {})
 
 
 class TestInferRoute:
@@ -95,13 +95,13 @@ class TestInferAllRoutes:
             rec("s3", "x", "y", 100.0, "r5"),
             rec("s3", "x", "y", 300.0, "r6"),
         ]
-        outcome = infer_all_routes(records)
+        outcome = infer_all_routes(table_of(records))
         assert set(outcome.accepted) == {"s1", "s2"}
         assert set(outcome.rejected) == {"s3"}
 
     def test_all_consistent(self):
         records = [rec("s1", "a", "b", 300.0, "r1"), rec("s2", "p", "q", 100.0, "r2")]
-        outcome = infer_all_routes(records)
+        outcome = infer_all_routes(table_of(records))
         assert not outcome.rejected
 
     def test_synthetic_round_trip(self):
@@ -119,7 +119,7 @@ class TestInferAllRoutes:
                         rec(route.service_id, route.stops[i], route.stops[j], d, f"r{n}")
                     )
                     n += 1
-        outcome = infer_all_routes(records)
+        outcome = infer_all_routes(table_of(records))
         assert not outcome.rejected
         assert set(outcome.accepted) == set(truth.network.routes)
         for service_id, route in truth.network.routes.items():
@@ -135,6 +135,6 @@ class TestInferAllRoutes:
             rec("s1", "a", "c", 700.0, "r3"),  # violates 300 + 300
             rec("s2", "p", "q", 100.0, "r4"),
         ]
-        outcome = infer_all_routes(records)
+        outcome = infer_all_routes(table_of(records))
         assert set(outcome.rejected) == {"s1"}
         assert set(outcome.accepted) == {"s2"}
