@@ -182,9 +182,11 @@ def rank_anomalies(
         i = rows[p]
         witnesses = [rows[q] for q in contained[p] if not has_inner[q]]
         reports.append(AnomalyReport(
-            record_ids[i], flows.record_paths[i], flows.t_start[i], flows.t_end[i], alphas[i],
-            expected[i], counts[p], tuple(_congestion_entries(flows, witnesses or [i])),
-            PROVENANCE_WITNESS if witnesses else PROVENANCE_SELF,
+            record_id=record_ids[i], path=flows.record_paths[i], t_start=flows.t_start[i],
+            t_end=flows.t_end[i], alpha=alphas[i], expected_s=expected[i],
+            containment_count=counts[p],
+            congested_segments=tuple(_congestion_entries(flows, witnesses or [i])),
+            provenance=PROVENANCE_WITNESS if witnesses else PROVENANCE_SELF,
         ))
     return reports
 
