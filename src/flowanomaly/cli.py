@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_DISTANCE_TOLERANCE_M,
     Flows,
     NetworkGraph,
-    Path,
     build_network,
     check_record,
     resolve_path,
@@ -335,18 +334,19 @@ def _load_scored(
     """The significant rows of a scored file as flows on the network, and their
     expected times and ratios. Each distinct key is resolved once; a row's
     distance is its path's."""
-    found: dict[tuple[str, ...], Path] = {}
-    rows, paths = [], []
+    found: dict[tuple[str, ...], int] = {}  # key -> path index
+    rows, path_of, paths = [], [], []
     for row in recordio.read_significant(source):
         key = row[1:4]
         if key not in found:
-            found[key] = resolve_path(network, *key)
-        paths.append(found[key])
-        check_record(row[0], *row[2:6], paths[-1].distance_m)
+            found[key] = len(paths)
+            paths.append(resolve_path(network, *key))
+        path_of.append(found[key])
+        check_record(row[0], *row[2:6], paths[path_of[-1]].distance_m)
         rows.append(row)
     record_ids, _, _, _, t_start, t_end, expected, alphas = zip(*rows) if rows else [()] * 8
     flows = Flows(list(record_ids), array("d", t_start), array("d", t_end),
-                  [p.distance_m for p in paths], paths)
+                  [paths[j].distance_m for j in path_of], path_of, paths)
     return flows, expected, alphas
 
 

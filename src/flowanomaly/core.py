@@ -261,19 +261,18 @@ class Flows:
     Build one with from_table (a parsed RecordTable on a network, as the CLI
     does) or from_records (a FlowRecord list and its parallel paths). Record k
     has record_ids[k], t_start[k], t_end[k], observed[k] (their difference; the
-    three are float arrays), distance[k], record_paths[k] and path_of[k];
-    distinct Path object j (in order of first use) is paths[j], with segs[j]
-    (speed positions) and dists[j]; keys[i] is the segment of speed position i.
+    three are float arrays), distance[k], path_of[k] and record_paths[k] (its
+    Path, paths[path_of[k]]); distinct Path object j (in order of first use) is
+    paths[j], with segs[j] (speed positions) and dists[j]; keys[i] is the
+    segment of speed position i.
     """
 
     def __init__(self, record_ids: list[str], t_start: array, t_end: array,
-                 distance: list[float], paths: Sequence[Path]):
+                 distance: list[float], path_of: list[int], paths: list[Path]):
         self.record_ids, self.t_start, self.t_end = record_ids, t_start, t_end
         self.observed = array("d", map(sub, t_end, t_start))
-        self.distance, self.record_paths = distance, paths
-        first: dict[int, int] = {}
-        self.path_of = [first.setdefault(id(p), len(first)) for p in paths]
-        self.paths = list({id(p): p for p in paths}.values())
+        self.distance, self.path_of, self.paths = distance, path_of, paths
+        self.record_paths = list(map(paths.__getitem__, path_of))
         index: dict[tuple[NodeId, NodeId], int] = {}
         # lists: resized tuple(generator) rows piled up in CPython's tuple free lists
         self.segs = [[index.setdefault(s.key, len(index)) for s in p.segments]
@@ -288,8 +287,8 @@ class Flows:
 
         A row is kept when its (service, origin, destination) resolves and its
         distance is within eps_d of its path's. Each distinct key is resolved
-        once; only the distance check runs per row. A table with no row kept
-        raises EmptyInput.
+        once, and a row's path index is its key's; only the distance check runs
+        per row. A table with no row kept raises EmptyInput.
         """
         by_key: list[Path | None] = []
         for key in table.keys:
@@ -297,46 +296,36 @@ class Flows:
                 by_key.append(resolve_path(network, *key))
             except FlowError:
                 by_key.append(None)
-        rows, paths = [], []
-        for i, (k, d) in enumerate(zip(table.key_of, table.distance)):
-            path = by_key[k]
-            if path is not None and not abs(path.distance_m - d) > eps_d:
-                rows.append(i)
-                paths.append(path)
+        rows = [i for i, (k, d) in enumerate(zip(table.key_of, table.distance))
+                if by_key[k] is not None and not abs(by_key[k].distance_m - d) > eps_d]
+        slot: dict[int, int] = {}  # key -> path index, in order of first use
+        path_of = [slot.setdefault(table.key_of[i], len(slot)) for i in rows]
         if not rows:
             raise EmptyInput(
                 f"no usable records after validation (skipped_unresolvable={len(table)})"
             )
-        return cls._take(table, rows, paths), rows
+        return cls(
+            list(map(table.record_ids.__getitem__, rows)),
+            array("d", map(table.t_start.__getitem__, rows)),
+            array("d", map(table.t_end.__getitem__, rows)),
+            list(map(table.distance.__getitem__, rows)),
+            path_of, list(map(by_key.__getitem__, slot)),
+        ), rows
 
     @classmethod
     def from_records(cls, records: Sequence[FlowRecord], paths: Sequence[Path]) -> Flows:
         """The records on their paths, paths[k] being records[k]'s."""
         if len(records) != len(paths):
             raise ValueError("records and paths must be parallel")
+        first: dict[int, int] = {}
         return cls(
             [r.record_id for r in records],
             array("d", [r.t_start for r in records]),
             array("d", [r.t_end for r in records]),
             [r.distance_m for r in records],
-            paths,
+            [first.setdefault(id(p), len(first)) for p in paths],
+            list({id(p): p for p in paths}.values()),
         )
 
     def __len__(self) -> int:
         return len(self.path_of)
-
-    def view(self, rows: Sequence[int]) -> Flows:
-        """The given records, in the given order: the Flows of those records and paths."""
-        return Flows._take(self, rows, list(map(self.record_paths.__getitem__, rows)))
-
-    @classmethod
-    def _take(cls, columns: RecordTable | Flows, rows: Sequence[int],
-              paths: Sequence[Path]) -> Flows:
-        """The given rows of a table's or a Flows' columns, on the given paths."""
-        return cls(
-            list(map(columns.record_ids.__getitem__, rows)),
-            array("d", map(columns.t_start.__getitem__, rows)),
-            array("d", map(columns.t_end.__getitem__, rows)),
-            list(map(columns.distance.__getitem__, rows)),
-            paths,
-        )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Flows, NetworkGraph, left_sum
 from .core import resolve_paths  # noqa: F401 - perfbench/tracing.py wraps this name here
@@ -12,25 +12,18 @@ from .errors import EmptyInput, TooFewRecords
 from .models import (
     KIND_BASELINE1,
     KIND_BASELINE2,
-    KIND_EDGE,
     KIND_SMOOTHED,
     MODEL_KINDS,
     Model,
-    fit_baseline1,
-    fit_baseline2,
-    fit_edge_model,
+    _Columns,
+    fit_baseline1,  # noqa: F401 - perfbench/tracing.py wraps these three names here
+    fit_baseline2,  # noqa: F401
     sse,
-    train_edge_model,  # noqa: F401 - perfbench/tracing.py wraps this name here
+    train_edge_model,  # noqa: F401
 )
 
-
-@dataclass(frozen=True)
-class FoldSplit:
-    """Assignment of every record id to one of k folds."""
-
-    k: int
-    assignments: dict[str, int]
-    seed: int
+if TYPE_CHECKING:  # numpy is imported where a fold needs it: it is slow to load
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,11 +52,12 @@ def rmse(model: Model, flows: Flows) -> float:
     return math.sqrt(sse(model, flows) / len(flows))
 
 
-def make_folds(flows: Flows, k: int, seed: int) -> FoldSplit:
-    """Seeded uniform shuffle then round-robin; fold sizes differ by at most 1.
+def make_folds(flows: Flows, k: int, seed: int) -> np.ndarray:
+    """Each row's fold, from a seeded uniform shuffle dealt round-robin.
 
-    A record id that repeats takes the fold of its last position in the shuffle,
-    so repeated ids can leave one fold with every record (kfold names it).
+    Fold sizes differ by at most 1. A record id that repeats takes the fold of
+    its last position in the shuffle, so repeated ids can leave one fold with
+    every record (kfold names it).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -71,28 +65,18 @@ def make_folds(flows: Flows, k: int, seed: int) -> FoldSplit:
         raise TooFewRecords(len(flows), k)
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(flows))
     record_ids = flows.record_ids
-    assignments = {record_ids[idx]: pos % k for pos, idx in enumerate(order)}
-    return FoldSplit(k=k, assignments=assignments, seed=seed)
+    order = rng.permutation(len(flows)).tolist()
+    last = dict(zip(map(record_ids.__getitem__, order), range(len(order))))  # later ones win
+    return np.fromiter(map(last.__getitem__, record_ids), np.intp, len(record_ids)) % k
 
 
-def _fit_kind(
-    kind: str, kinds: Sequence[str], network: NetworkGraph, flows: Flows, psi: float
-) -> dict[str, Model]:
-    """The kind's model on the flows, by kind.
-
-    With both edge kinds in `kinds`, one normal matrix serves the two: the
-    smoothed-edge fit's first solve is the edge fit, bit for bit.
-    """
-    if kind == KIND_BASELINE1:
-        return {kind: fit_baseline1(flows)}
-    if kind == KIND_BASELINE2:
-        return {kind: fit_baseline2(flows)}
-    if KIND_SMOOTHED in kinds:
-        smoothed, trail = fit_edge_model(network, flows, psi=psi)
-        return {KIND_SMOOTHED: smoothed, KIND_EDGE: trail.unsmoothed}
-    return {kind: fit_edge_model(network, flows)[0]}
+def _rmse(cols: _Columns, squares: np.ndarray, mask: np.ndarray) -> float:
+    """Root mean of the squares over the masked rows; no rows is EmptyInput, as in rmse."""
+    count = float(mask.sum())
+    if not count:
+        raise EmptyInput("rmse needs records")
+    return math.sqrt(cols.sum(squares, mask) / count)
 
 
 def kfold(
@@ -113,44 +97,41 @@ def kfold(
     test records are all excluded raises EmptyInput, naming the fold, and so does
     a fold that holds every record (records with a repeated id share a fold).
 
-    Each fold's train and test sets are views of the flows, in their order.
+    A fold's train and test sets are 0/1 row masks over one models._Columns of
+    the flows. The rows equal those of fits on each fold's own Flows, the RMSEs
+    to a relative 1e-9: they sum per path, then pairwise over paths.
     """
     for kind in model_kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-    split = make_folds(flows, k, seed)
-    fold_of = [split.assignments[record_id] for record_id in flows.record_ids]
+    fold_of = make_folds(flows, k, seed)
+    cols = _Columns(flows)
     result = CrossValResult()
     for fold in range(k):
-        train = flows.view([i for i, f in enumerate(fold_of) if f != fold])
-        covered = set(train.keys)
-        seen = [all(flows.keys[s] in covered for s in segs) for segs in flows.segs]
-        test_rows = [i for i, f in enumerate(fold_of) if f == fold]
-        test = flows.view([i for i in test_rows if seen[flows.path_of[i]]])
-        excluded = len(test_rows) - len(test)
-        if model_kinds and not train:
+        held = fold_of == fold
+        train = 1.0 - held
+        test = (held & cols.seen(train)) * 1.0
+        excluded = int(held.sum() - test.sum())
+        if model_kinds and not train.any():
             raise EmptyInput(
                 f"fold {fold} has every one of the {len(flows)} records and none to train on: "
                 "records that share a record id share a fold; fewer folds or distinct "
                 "record ids would help"
             )
-        if model_kinds and excluded and not test:
+        if model_kinds and excluded and not test.any():
             raise EmptyInput(
                 f"fold {fold} has no test record left: all {excluded} cross a segment "
                 "that no training record covers; fewer folds or more records would help"
             )
-        fits: dict[str, Model] = {}
+        squares: dict[str, np.ndarray] = {}  # per row, of the kind's fit on the train rows
         for kind in model_kinds:
-            if kind not in fits:
-                fits.update(_fit_kind(kind, model_kinds, network, train, psi))
-            model = fits[kind]
-            result.rows.append(
-                TrialRow(
-                    fold=fold,
-                    kind=kind,
-                    train_rmse=rmse(model, train),
-                    test_rmse=rmse(model, test),
-                    excluded=excluded,
-                )
-            )
+            if kind == KIND_BASELINE1:
+                squares[kind] = cols.baseline1(train)[1]
+            elif kind == KIND_BASELINE2:
+                squares[kind] = cols.baseline2(train)[1]
+            elif kind not in squares:  # one normal matrix serves both edge kinds
+                smoothed = KIND_SMOOTHED in model_kinds
+                squares.update(cols.edge(network, train, psi if smoothed else 0.0)[2])
+            result.rows.append(TrialRow(fold, kind, _rmse(cols, squares[kind], train),
+                                        _rmse(cols, squares[kind], test), excluded))
     return result

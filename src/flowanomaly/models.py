@@ -11,23 +11,22 @@ gradient ascent (train_edge_model, with TrainConfig's knobs) remains the
 reference that the gradient, convergence and speed-recovery tests exercise; no
 subcommand runs it.
 
-Every fit, fold and residual takes a Flows, which lives in core: records on
-their resolved paths, as columns of interned segment positions. expected_times
-gives each record its expected time from one per distinct path; anomaly.score
-reads it too. Output stays byte-identical only while float sums are
-left-to-right += and squares are ** 2: on CPython 3.11, x ** 2 != x * x on 73 of
-100k normal draws and np.add.reduceat differed from the left-to-right sum on 699
-of 2000 random 1-15-segment paths; sum() of floats compensates from Python 3.12
-on, so sums go through left_sum. The same holds for a view (kfold's folds): it
-keeps its records' order and copies their stored floats, so its sums add the
-values a record list would, in the same order.
+Every fit, fold and residual takes a Flows (core): records on their resolved
+paths, with interned segment positions. The fits, sse and estimate_variance run on
+one private kernel, _Columns: the Flows as numpy columns read under a 0/1 row
+mask, so that kfold's folds are masks over one Flows. Per-path counts and sums of
+d, t, 1/d, t/d and squared residuals, and the normal matrix, are np.bincount (left
+to right from 0.0); totals over paths are np.sum's pairwise sums. Fitted speeds,
+sigma2 and RMSEs match the left-to-right Python sums the fits once used to a
+relative 1e-9. expected_times, which anomaly.score reads, stays numpy-free for
+detect; the ascent (sgd_epoch) adds each record's expected time with left_sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import IO, Sequence, Union
 
 from .core import FlowRecord, Flows, NetworkGraph, NodeId, Path, Segment, left_sum
@@ -171,28 +170,13 @@ def _need_records(flows: Flows, caller: str) -> None:
 def fit_baseline1(flows: Flows) -> Baseline1Model:
     """Closed-form global speed: total distance over total observed time."""
     _need_records(flows, "fit_baseline1")
-    observed, distance = flows.observed, flows.distance
-    total_d = left_sum(distance)
-    c = total_d / left_sum(observed)
-    sigma2 = left_sum((t - d / c) ** 2 for t, d in zip(observed, distance)) / total_d
-    return Baseline1Model(c=c, sigma2=sigma2)
+    return _Columns(flows).baseline1()[0]
 
 
 def fit_baseline2(flows: Flows) -> Baseline2Model:
     """Closed-form per-path speeds with a variance pooled across paths."""
     _need_records(flows, "fit_baseline2")
-    key_of = [path_key(p) for p in flows.paths]
-    sums: dict[str, tuple[float, float]] = {}
-    for j, d_r, t_r in zip(flows.path_of, flows.distance, flows.observed):
-        key = key_of[j]
-        d, t = sums.get(key, (0.0, 0.0))
-        sums[key] = (d + d_r, t + t_r)
-    c_by_path = {key: d / t for key, (d, t) in sums.items()}
-    fallback = left_sum(flows.distance) / left_sum(flows.observed)
-    model = Baseline2Model(c_by_path=c_by_path, sigma2=0.0, fallback_c=fallback)
-    resid_sq, total_d = _residual_pass(model, flows)
-    model.sigma2 = resid_sq / total_d
-    return model
+    return _Columns(flows).baseline2()[0]
 
 
 def _path_speed(model: Baseline1Model | Baseline2Model, path: Path) -> float:
@@ -293,10 +277,10 @@ def init_edge_model(g: NetworkGraph, flows: Flows, smoothed: bool = False) -> Ed
 
 
 def _residual_pass(model: Model, flows: Flows) -> tuple[float, float]:
-    """Sum of squared residuals and total distance, each summed left to right."""
+    """Sum of squared residuals and total distance."""
     _need_flows(flows)
-    resid = zip(flows.observed, expected_times(model, flows))
-    return left_sum((t - expect) ** 2 for t, expect in resid), left_sum(flows.distance)
+    cols = _Columns(flows)
+    return cols.sum(cols.squares(model)), cols.sum(cols.d)
 
 
 def sse(model: Model, flows: Flows) -> float:
@@ -353,21 +337,166 @@ def train_edge_model(
 ) -> tuple[EdgeModel, TrainResult]:
     """Initialize from the global fit and run cfg.epochs ascent passes."""
     model = init_edge_model(g, flows, smoothed=smoothed)
-    result = TrainResult(untraversed=_untraversed(g, flows))
+    result = TrainResult(untraversed=tuple(sorted(set(g.segments) - set(flows.keys))))
     for epoch in range(cfg.epochs):
         model, sse = sgd_epoch(model, flows, cfg, epoch=epoch)
         result.sse_by_epoch.append(sse)
     return model, result
 
 
-def _untraversed(g: NetworkGraph, flows: Flows) -> tuple[tuple[NodeId, NodeId], ...]:
-    return tuple(sorted(set(g.segments) - set(flows.keys)))
-
-
 # A segment whose unit vector has a null-space component above this norm is
 # unidentifiable. A computed null-space basis is off by about eps * cond(N),
 # far below this unless N is all but singular.
 NULL_COMPONENT_TOL = 1e-6
+
+
+class _Columns:
+    """A Flows as numpy columns, read by every fit and residual sum under a row mask.
+
+    A mask holds 0.0 or 1.0 per row (None: all rows). A fit on a mask equals, to
+    rounding, the fit on the Flows of the masked rows; each fit also returns the
+    squared residuals of every row, from one expected time per distinct path.
+    """
+
+    def __init__(self, flows: Flows):
+        import numpy as np  # imported here: detect never loads numpy, which is slow to load
+        self.np, self.flows, self.n_paths = np, flows, len(flows.paths)
+        self.t, self.d = np.frombuffer(flows.observed), np.array(flows.distance)
+        self.path_of, self.ones = np.array(flows.path_of, dtype=np.intp), np.ones(len(flows))
+        # one entry per segment of each distinct path, in path order
+        self.sizes = np.array(list(map(len, flows.segs)), dtype=np.intp)
+        self.seg = np.fromiter(chain.from_iterable(flows.segs), np.intp)
+        self.seg_m = np.fromiter(chain.from_iterable(flows.dists), float)
+        self.seg_path = np.repeat(np.arange(self.n_paths), self.sizes)
+
+    def per_path(self, values, mask=None):
+        """Per distinct path, the sum of values over its masked rows."""
+        weights = values if mask is None else values * mask
+        return self.np.bincount(self.path_of, weights, minlength=self.n_paths)
+
+    def sum(self, values, mask=None) -> float:
+        return float(self.per_path(values, mask).sum())
+
+    def squares(self, model: Model):
+        """(t - expected)^2 per row, from one expected time or speed per distinct path."""
+        np, flows = self.np, self.flows
+        if isinstance(model, EdgeModel):
+            try:  # the first gap in key order is the first a record-order pass meets
+                speed = np.array([model.c_by_segment[key] for key in flows.keys], dtype=float)
+            except KeyError as exc:
+                raise MissingSegmentSpeed(*exc.args[0]) from None
+            by_path = np.bincount(self.seg_path, self.seg_m / speed[self.seg],
+                                  minlength=self.n_paths)
+            resid = self.t - by_path[self.path_of]
+        else:
+            speed = np.array([_path_speed(model, p) for p in flows.paths], dtype=float)
+            resid = self.t - self.d / speed[self.path_of]
+        return resid * resid
+
+    def fitted(self, model: Model, mask, total_d: float):
+        """The model, its sigma2 set to its masked SSE over total_d, and its squares."""
+        squares = self.squares(model)
+        model.sigma2 = self.sum(squares, mask) / total_d
+        return model, squares
+
+    def baseline1(self, mask=None):
+        total_d = self.sum(self.d, mask)
+        return self.fitted(Baseline1Model(total_d / self.sum(self.t, mask), 0.0), mask, total_d)
+
+    def baseline2(self, mask=None):
+        group: dict[str, int] = {}  # path key -> index; paths of equal nodes share a key
+        of = [group.setdefault(path_key(p), len(group)) for p in self.flows.paths]
+        n, d, t = (self.np.bincount(of, self.per_path(v, mask), minlength=len(group)).tolist()
+                   for v in (self.ones, self.d, self.t))
+        c_by_path = {key: d_k / t_k for key, n_k, d_k, t_k in zip(group, n, d, t) if n_k}
+        total_d = self.sum(self.d, mask)
+        model = Baseline2Model(c_by_path, 0.0, fallback_c=total_d / self.sum(self.t, mask))
+        return self.fitted(model, mask, total_d)
+
+    def crossed(self, n):
+        """Per speed position, whether a path with n > 0 crosses it."""
+        crossed = self.np.zeros(len(self.flows.keys), dtype=bool)
+        crossed[self.seg[n[self.seg_path] > 0]] = True
+        return crossed
+
+    def seen(self, mask):
+        """Per row, whether masked rows cross every segment of its path."""
+        missing = ~self.crossed(self.per_path(mask))[self.seg]
+        unseen = self.np.bincount(self.seg_path, missing, minlength=self.n_paths)
+        return (unseen == 0)[self.path_of]
+
+    def pair_sums(self, at, n_rows: int, weights):
+        """The n_rows square matrix of sum_p weights_p * a_i * a_j over the ordered
+        pairs i, j of entries of each path p, entry i at row at[i]. One bincount adds
+        them in path order, as a loop over paths would; the index arrays are freed on
+        return, before any solve."""
+        np, sizes = self.np, self.sizes
+        blocks = sizes * sizes
+        path = np.repeat(np.arange(self.n_paths), blocks)
+        a, b = np.divmod(np.arange(len(path)) - np.repeat(np.cumsum(blocks) - blocks, blocks),
+                         sizes[path])
+        first = (np.cumsum(sizes) - sizes)[path]
+        a += first
+        b += first
+        return np.bincount(at[a] * n_rows + at[b], weights[path] * self.seg_m[a] * self.seg_m[b],
+                           minlength=n_rows * n_rows).reshape(n_rows, n_rows)
+
+    def edge(self, g: NetworkGraph, mask=None, psi: float = 0.0):
+        """fit_edge_model on the masked rows, and squared residuals by kind: the
+        unsmoothed solve's under KIND_EDGE, the returned model's under KIND_SMOOTHED."""
+        if not 0.0 <= psi < math.inf:
+            raise ValueError("psi must be finite and >= 0")
+        np, seg, seg_m, seg_path = self.np, self.seg, self.seg_m, self.seg_path
+        n, w, u = (self.per_path(v, mask) for v in (self.ones, 1.0 / self.d, self.t / self.d))
+        total_d = self.sum(self.d, mask)
+        c0 = total_d / self.sum(self.t, mask)
+        crossed = self.crossed(n)
+        keys = list(compress(self.flows.keys, crossed.tolist()))
+        n_seg = len(keys)
+        # each entry's row of the solve: an uncrossed segment lies only on paths with
+        # no masked rows, whose weights are 0.0, so row 0 takes exact zeros from it
+        at = np.where(crossed, np.cumsum(crossed) - 1, 0)[seg]
+        normal = self.pair_sums(at, n_seg, w)
+        rhs = np.bincount(at, u[seg_path] * seg_m, minlength=n_seg)
+        length = np.zeros(len(crossed))
+        length[seg] = seg_m
+        length = length[crossed]
+        s0, root = 1.0 / c0, np.sqrt(length)
+        # y = root * delta: the plain smallest norm in y is the weighted one
+        free = (rhs - normal.sum(axis=1) * s0) / root
+
+        def solve(matrix):
+            lam, vec = np.linalg.eigh(matrix / np.outer(root, root))
+            null = lam <= lam[-1] * n_seg * np.finfo(float).eps
+            kept = vec[:, ~null]
+            y = kept @ ((kept.T @ free) / lam[~null])
+            with np.errstate(divide="ignore"):
+                speed = 1.0 / (s0 + y / root)
+            bad = ~(np.isfinite(speed) & (speed > 0))
+            speeds = dict.fromkeys(g.segments, c0)
+            speeds.update(zip(keys, np.where(bad, c0, speed).tolist()))
+            model, squares = self.fitted(EdgeModel(c_by_segment=speeds, sigma2=0.0), mask, total_d)
+            return model, squares, np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL, bad
+
+        model, squares, unidentifiable, bad = solve(normal)
+        unsmoothed, by_kind = model, {KIND_EDGE: squares}
+        if psi:
+            # n_ij over each consecutive pair of a path's entries, for i before j
+            i = np.flatnonzero(seg_path[:-1] == seg_path[1:])
+            pairs = np.bincount(at[i] * n_seg + at[i + 1], n[seg_path[i]],
+                                minlength=n_seg * n_seg).reshape(n_seg, n_seg)
+            pairs += pairs.T
+            mu = psi * model.sigma2 * c0 ** 4
+            pairs = np.diag(pairs.sum(1)) - pairs  # their Laplacian
+            model, squares, unidentifiable, bad = solve(normal + mu * pairs)
+        by_kind[KIND_SMOOTHED] = squares
+        return model, TrainResult(
+            sse_by_epoch=[self.sum(squares, mask)],
+            untraversed=tuple(sorted(set(g.segments).difference(keys))),
+            unidentifiable=tuple(sorted(compress(keys, unidentifiable))),
+            nonpositive=tuple(sorted(compress(keys, bad))),
+            unsmoothed=unsmoothed,
+        ), by_kind
 
 
 def fit_edge_model(
@@ -403,58 +532,7 @@ def fit_edge_model(
     L's null space (constant along chained segments) meets N's only at 0.
     """
     _need_records(flows, "fit_edge_model")
-    if not 0.0 <= psi < math.inf:
-        raise ValueError("psi must be finite and >= 0")
-    base = fit_baseline1(flows)
-    import numpy as np  # imported here, as for the seeded draws: numpy is slow to load
-    distance = np.array(flows.distance)  # every record distance is > 0 (check_record)
-    path_of = np.array(flows.path_of)
-    w = np.bincount(path_of, 1.0 / distance)
-    u = np.bincount(path_of, np.frombuffer(flows.observed) / distance)
-    crossings = np.bincount(path_of).tolist()  # records per path
-    n_seg = len(flows.keys)
-    normal, rhs, length = np.zeros((n_seg, n_seg)), np.zeros(n_seg), np.zeros(n_seg)
-    pairs = np.zeros((n_seg, n_seg)) if psi else None  # n_ij, for i before j
-    for segs, dists, w_p, u_p, n_p in zip(flows.segs, flows.dists, w.tolist(), u.tolist(),
-                                          crossings):
-        i, a = np.array(segs), np.array(dists)  # a path's segments are distinct: no repeats
-        normal[i[:, None], i] += (w_p * a)[:, None] * a
-        rhs[i] += u_p * a
-        length[i] = a
-        if psi:
-            pairs[i[:-1], i[1:]] += n_p
-    s0 = 1.0 / base.c
-    root = np.sqrt(length)  # y = root * delta: the plain smallest norm in y is the weighted one
-    free = (rhs - normal.sum(axis=1) * s0) / root
-
-    def solve(matrix):
-        lam, vec = np.linalg.eigh(matrix / np.outer(root, root))
-        null = lam <= lam[-1] * n_seg * np.finfo(float).eps
-        kept = vec[:, ~null]
-        y = kept @ ((kept.T @ free) / lam[~null])
-        with np.errstate(divide="ignore"):
-            speed = 1.0 / (s0 + y / root)
-        bad = ~(np.isfinite(speed) & (speed > 0))
-        speeds = dict.fromkeys(g.segments, base.c)
-        speeds.update(zip(flows.keys, np.where(bad, base.c, speed).tolist()))
-        model = EdgeModel(c_by_segment=speeds, sigma2=0.0)
-        resid_sq, total_d = _residual_pass(model, flows)
-        model.sigma2 = resid_sq / total_d
-        return model, resid_sq, np.linalg.norm(vec[:, null], axis=1) > NULL_COMPONENT_TOL, bad
-
-    model, resid_sq, unidentifiable, bad = solve(normal)
-    unsmoothed = model
-    if psi:
-        pairs += pairs.T
-        mu = psi * model.sigma2 * base.c ** 4
-        model, resid_sq, unidentifiable, bad = solve(normal + mu * (np.diag(pairs.sum(1)) - pairs))
-    return model, TrainResult(
-        sse_by_epoch=[resid_sq],
-        untraversed=_untraversed(g, flows),
-        unidentifiable=tuple(sorted(compress(flows.keys, unidentifiable))),
-        nonpositive=tuple(sorted(compress(flows.keys, bad))),
-        unsmoothed=unsmoothed,
-    )
+    return _Columns(flows).edge(g, psi=psi)[:2]
 
 
 def save_model(model: Model, dest: str | IO[str]) -> None:

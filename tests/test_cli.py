@@ -348,8 +348,8 @@ class TestValidation:
                    "--out-rejects", str(tmp_path / "rej.csv")) == 0
         flows = flows_on(build_network(read_routes(str(routes))),
                          parse_records(str(rec_path))[0])
-        fold = evaluation.make_folds(flows, 2, int(seed))
-        assert len(set(fold.assignments.values())) == 1
+        fold_of = evaluation.make_folds(flows, 2, int(seed))
+        assert len(set(fold_of.tolist())) == 1
         capsys.readouterr()
         out = tmp_path / "cv.csv"
         code = run("crossval", "--records", str(rec_path), "--routes", str(routes),
@@ -357,7 +357,7 @@ class TestValidation:
                    "--seed", seed, "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: fold {fold.assignments['r1']} has every one of the 3 records and none "
+            f"error: fold {fold_of[0]} has every one of the 3 records and none "
             "to train on: records that share a record id share a fold; fewer folds or "
             "distinct record ids would help\n"
         )

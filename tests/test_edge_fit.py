@@ -111,7 +111,8 @@ def test_smoothed_equals_dense_least_squares_with_penalty_rows(seed, psi):
     resid_sq = sum((r.observed_s - expected_time(model, p, r.distance_m)) ** 2
                    for r, p in zip(records, paths))
     assert result.sse_by_epoch == [pytest.approx(resid_sq, rel=1e-9)]
-    assert model.sigma2 == result.sse_by_epoch[0] / sum(r.distance_m for r in records)
+    assert math.isclose(model.sigma2, result.sse_by_epoch[0] / sum(r.distance_m for r in records),
+                        rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))

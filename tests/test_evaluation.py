@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from flowanomaly import evaluation
+from flowanomaly import models
 from flowanomaly.core import Flows, build_network
 from flowanomaly.errors import EmptyInput, TooFewRecords
 from flowanomaly.evaluation import CrossValResult, kfold, make_folds, rmse
@@ -72,22 +73,28 @@ class TestFolds:
 
     def test_partition_and_sizes(self):
         records = self.records(23)
-        split = make_folds(flows_straight(records), 5, seed=3)
-        assert set(split.assignments) == {r.record_id for r in records}
+        fold_of = make_folds(flows_straight(records), 5, seed=3)
+        assert len(fold_of) == len(records)
         sizes = [0] * 5
-        for fold in split.assignments.values():
+        for fold in fold_of.tolist():
             sizes[fold] += 1
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 23
 
     def test_determinism(self):
         flows = self.flows(40)
-        assert make_folds(flows, 4, seed=9).assignments == \
-            make_folds(flows, 4, seed=9).assignments
+        assert make_folds(flows, 4, seed=9).tolist() == make_folds(flows, 4, seed=9).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_repeated_id_takes_the_fold_of_its_last_shuffle_position(self, seed):
+        records = [rec(100.0, 10.0, f"r{i % 7}") for i in range(20)]
+        order = np.random.default_rng(seed).permutation(len(records)).tolist()
+        want = {records[i].record_id: pos % 3 for pos, i in enumerate(order)}
+        got = make_folds(flows_straight(records), 3, seed).tolist()
+        assert got == [want[r.record_id] for r in records]
 
     def test_two_records_two_folds(self):
-        split = make_folds(self.flows(2), 2, seed=0)
-        assert sorted(split.assignments.values()) == [0, 1]
+        assert sorted(make_folds(self.flows(2), 2, seed=0).tolist()) == [0, 1]
 
     def test_too_few(self):
         with pytest.raises(TooFewRecords):
@@ -146,9 +153,9 @@ class TestKfold:
         alone = {kind: kfold(truth.network, flows, 3, [kind], psi=0.05, seed=6).rows
                  for kind in ("edge", "smoothed-edge")}
         calls = []
-        fit = evaluation.fit_edge_model
-        monkeypatch.setattr(evaluation, "fit_edge_model",
-                            lambda *args, **kw: calls.append(kw.get("psi")) or fit(*args, **kw))
+        fit = models._Columns.edge
+        monkeypatch.setattr(models._Columns, "edge",
+                            lambda cols, g, mask, psi: calls.append(psi) or fit(cols, g, mask, psi))
         for kinds in (["edge", "smoothed-edge"], ["smoothed-edge", "edge"]):
             calls.clear()
             rows = kfold(truth.network, flows, 3, kinds, psi=0.05, seed=6).rows

