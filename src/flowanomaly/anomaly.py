@@ -13,7 +13,6 @@ follows the number of nested pairs, not the square of the set size.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -209,6 +208,8 @@ def daily_series(reports: Sequence[AnomalyReport]) -> list[DailyStats]:
 
     Days without reports are absent, not zero-filled.
     """
+    import statistics  # imported here: it loads fractions and decimal, which only localize needs
+
     by_day: dict[str, list[AnomalyReport]] = {}
     for rep in reports:
         by_day.setdefault(_utc_date(rep.t_start), []).append(rep)

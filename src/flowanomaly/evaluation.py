@@ -79,6 +79,24 @@ def _rmse(cols: _Columns, squares: np.ndarray, mask: np.ndarray) -> float:
     return math.sqrt(cols.sum(squares, mask) / count)
 
 
+def _check_folds(flows: Flows, fold_of: np.ndarray, k: int) -> None:
+    """EmptyInput naming the first fold that holds every row, else the first that holds none.
+
+    Either can happen only through repeated record ids, which share a fold.
+    """
+    import numpy as np
+
+    sizes = np.bincount(fold_of, minlength=k).tolist()
+    cause = ("records that share a record id share a fold; fewer folds or distinct "
+             "record ids would help")
+    if len(flows) in sizes:
+        raise EmptyInput(f"fold {sizes.index(len(flows))} has every one of the {len(flows)} "
+                         f"records and none to train on: {cause}")
+    if 0 in sizes:
+        raise EmptyInput(f"fold {sizes.index(0)} has no records: the {len(flows)} records "
+                         f"carry {len(set(flows.record_ids))} distinct record ids, and {cause}")
+
+
 def kfold(
     network: NetworkGraph,
     flows: Flows,
@@ -95,7 +113,8 @@ def kfold(
     whose path crosses a segment no training record covered are excluded from
     the test metric and counted in the row's `excluded` column; a fold whose
     test records are all excluded raises EmptyInput, naming the fold, and so does
-    a fold that holds every record (records with a repeated id share a fold).
+    a fold that holds every record or none, before any fit (records with a
+    repeated id share a fold).
 
     A fold's train and test sets are 0/1 row masks over one models._Columns of
     the flows. The rows equal those of fits on each fold's own Flows, the RMSEs
@@ -105,6 +124,8 @@ def kfold(
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
     fold_of = make_folds(flows, k, seed)
+    if model_kinds:
+        _check_folds(flows, fold_of, k)
     cols = _Columns(flows)
     result = CrossValResult()
     for fold in range(k):
@@ -112,12 +133,6 @@ def kfold(
         train = 1.0 - held
         test = (held & cols.seen(train)) * 1.0
         excluded = int(held.sum() - test.sum())
-        if model_kinds and not train.any():
-            raise EmptyInput(
-                f"fold {fold} has every one of the {len(flows)} records and none to train on: "
-                "records that share a record id share a fold; fewer folds or distinct "
-                "record ids would help"
-            )
         if model_kinds and excluded and not test.any():
             raise EmptyInput(
                 f"fold {fold} has no test record left: all {excluded} cross a segment "

@@ -1,5 +1,6 @@
 """Shared builders for the test suite, and the brute-force containment oracle."""
 
+import os
 from typing import NamedTuple
 
 import pytest
@@ -9,6 +10,10 @@ from flowanomaly.core import (
     FlowRecord, Flows, Path, Segment, ServiceRoute, build_network, resolve_paths,
 )
 from flowanomaly.recordio import RecordTable
+
+# Before numpy loads, as the console script does: its BLAS then starts no thread,
+# so the test process forks workers for a record file of several ranges as the CLI does.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def make_route(service_id, stops, cumulative):

@@ -363,6 +363,34 @@ class TestValidation:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_crossval_fold_left_empty_by_repeated_ids(self, tmp_path, capsys, seed):
+        # two record ids fill at most two of three folds
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_text(
+            "record_id,service_id,board_stop,alight_stop,board_time,alight_time,distance_m\n"
+            "r1,s1,a,b,0,100,500\nr1,s1,a,b,200,300,500\nr1,s1,a,b,400,500,500\n"
+            "r2,s1,a,b,600,700,500\nr2,s1,a,b,800,900,500\n"
+        )
+        routes = tmp_path / "routes.csv"
+        assert run("infer-routes", "--records", str(rec_path), "--out-routes", str(routes),
+                   "--out-rejects", str(tmp_path / "rej.csv")) == 0
+        flows = flows_on(build_network(read_routes(str(routes))),
+                         parse_records(str(rec_path))[0])
+        sizes = [int((evaluation.make_folds(flows, 3, int(seed)) == f).sum()) for f in range(3)]
+        assert 5 not in sizes
+        capsys.readouterr()
+        out = tmp_path / "cv.csv"
+        code = run("crossval", "--records", str(rec_path), "--routes", str(routes),
+                   "--folds", "3", "--kinds", "baseline1", "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: fold {sizes.index(0)} has no records: the 5 records carry 2 distinct "
+            "record ids, and records that share a record id share a fold; fewer folds or "
+            "distinct record ids would help\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["baseline1", "baseline2", "edge"])
     def test_absurd_time_row_is_a_reject_line(self, tmp_path, capsys, kind):
         rec_path, _ = simulate_small(tmp_path)
@@ -777,9 +805,13 @@ class TestStartup:
         assert out.splitlines() == ["[]", "flowanomaly.synth flowanomaly.anomaly"]
 
     @pytest.mark.parametrize("command, absent", [
-        ("infer-routes", {"anomaly", "models", "evaluation", "synth"}),
-        ("detect", {"evaluation", "synth", "routeinfer"}),
-        ("localize", {"models", "evaluation", "synth", "routeinfer"}),
+        ("infer-routes", {"flowanomaly.anomaly", "flowanomaly.models", "flowanomaly.evaluation",
+                          "flowanomaly.synth"}),
+        # statistics loads fractions and decimal; only localize's daily_series uses it
+        ("detect", {"flowanomaly.evaluation", "flowanomaly.synth", "flowanomaly.routeinfer",
+                    "statistics"}),
+        ("localize", {"flowanomaly.models", "flowanomaly.evaluation", "flowanomaly.synth",
+                      "flowanomaly.routeinfer"}),
     ])
     def test_each_subcommand_loads_only_its_modules(self, tmp_path, command, absent):
         # each module is compiled afresh where no bytecode is cached, so a module a
@@ -804,12 +836,12 @@ class TestStartup:
             "import json, sys\n"
             "from flowanomaly.cli import run_command\n"
             f"code = run_command({argv_of[command]!r})\n"
-            "print(json.dumps([code, [m for m in sys.modules if m.startswith('flowanomaly')]]))\n")
+            "print(json.dumps([code, list(sys.modules)]))\n")
         code, loaded = json.loads(out.splitlines()[-1])
         assert code == 0
         loaded = set(loaded)
         assert ALWAYS_LOADED <= loaded
-        assert not loaded & {f"flowanomaly.{name}" for name in absent}
+        assert not loaded & absent
 
     def test_commands_without_seeded_draws_never_import_numpy(self, tmp_path):
         # importing numpy costs a large share of a short command's run time

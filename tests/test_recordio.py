@@ -1,16 +1,21 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowanomaly import recordio
 from flowanomaly.errors import AllRowsRejected, UnreadableInput
 from flowanomaly.recordio import (
     RECORD_HEADER,
+    SCORED_HEADER,
+    format_float,
     parse_records,
     parse_timestamp,
     write_records,
+    write_scored,
 )
 
-from conftest import make_record
+from conftest import make_record, table_of
 
 HEADER = ",".join(RECORD_HEADER)
 
@@ -206,3 +211,27 @@ class TestRoundTrip:
         got, rejects = parse_records(str(path))
         assert not rejects
         assert got == records
+
+
+class TestWriteScored:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.sampled_from([0.0, -0.0, 1.5, 100.0 / 3.0]),
+                              st.floats()), min_size=1, max_size=30),
+           st.floats(allow_nan=False))
+    def test_rows_are_the_per_field_formats(self, values, delta):
+        # expected times repeat, as an edge model's do, including 0.0 and -0.0
+        records = [make_record(record_id=f"r{i}", t_start=float(i), t_end=i + 0.5)
+                   for i in range(len(values))]
+        rows = list(range(len(values)))[::-1]
+        observed, expected, alphas = (list(column) for column in zip(*values))
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recordio, "_SCORED_BLOCK", 7)  # rows span several blocks
+            write_scored(table_of(records), rows, observed, expected, alphas, delta, buf)
+        f = format_float
+        want = [f"# delta={f(delta)}", SCORED_HEADER] + [
+            f"{records[i].record_id},s1,a,b,{f(records[i].t_start)},{f(records[i].t_end)},"
+            f"{f(t)},{f(e)},{f(a)},{1 if a > delta else 0}"
+            for i, t, e, a in zip(rows, observed, expected, alphas)
+        ]
+        assert buf.getvalue() == "\n".join(want) + "\n"
