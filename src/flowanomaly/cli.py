@@ -146,6 +146,9 @@ def _apply_config(args: argparse.Namespace) -> None:
     # nan would pass every distance check, inf or a negative one would fail them all
     if "eps_d" in table and not 0 <= args.eps_d < math.inf:
         raise ValueError(f"eps_d must be finite and >= 0, got {args.eps_d}")
+    # numpy's seeding rejects a negative seed in words that name neither flag nor value
+    if "seed" in table and args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
 def _require_files(args: argparse.Namespace) -> None:
@@ -225,13 +228,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 slowdown_factor=args.congest_factor,
             ),
         )
-    # Records are written as they are drawn, into a sibling file that replaces
-    # the records file only once the whole day has been drawn and the truth
-    # written: a day that fails part way leaves neither file.
+    # Records are written as they are drawn, as rows with no FlowRecord built,
+    # into a sibling file that replaces the records file only once the whole day
+    # has been drawn and the truth written: a day that fails part way leaves
+    # neither file.
     records = synth.RecordStream(truth, cfg)
     partial = args.out_records + ".partial"
     try:
-        recordio.write_records(records, partial)
+        recordio.write_record_rows(records.rows(), partial)
         synth.write_truth(truth, args.out_truth)
         os.replace(partial, args.out_records)
     finally:

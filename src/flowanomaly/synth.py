@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import IO, Iterator
 
-from .core import NetworkGraph, FlowRecord, NodeId, ServiceRoute, build_network
+from .core import NetworkGraph, FlowRecord, NodeId, ServiceRoute, build_network, check_record
 from .recordio import _EPOCH_MAX, _EPOCH_MIN, format_float, write_lines
 
 # Per-segment times are truncated below at distance over this speed so a
 # Gaussian tail cannot produce superluminal (or negative) travel.
 MAX_PHYSICAL_SPEED_MPS = 40.0
+
+_LOW32 = 0xFFFFFFFF  # the low half of a 64-bit word
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class SynthConfig:
             raise ValueError(f"speeds above {MAX_PHYSICAL_SPEED_MPS} m/s are not sampleable")
         if self.n_records < 0:
             raise ValueError("n_records must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.noise_sigma2 < 0:
             raise ValueError("noise_sigma2 must be >= 0")
         if self.shared_corridor_stops == 1 or self.shared_corridor_stops < 0:
@@ -176,6 +181,7 @@ class RecordStream:
     its seed, so every pass yields the same records, and `truncated` counts the
     segment times the latest pass raised to their floor. A record that would
     alight after year 9999 UTC, which no reader accepts, raises ValueError.
+    rows() draws the same day as FlowRecord's fields, with no FlowRecord built.
     """
 
     def __init__(self, truth: SynthTruth, cfg: SynthConfig):
@@ -184,10 +190,16 @@ class RecordStream:
         self.truncated = 0
 
     def __iter__(self) -> Iterator[FlowRecord]:
+        return starmap(FlowRecord, self.rows())
+
+    def rows(self) -> Iterator[tuple[str, str, NodeId, NodeId, float, float, float]]:
+        """The day's records as tuples of FlowRecord's fields, in its order, each
+        passing check_record as a FlowRecord does."""
         import numpy as np  # imported here: only seeded draws need numpy, which is slow to load
         truth, cfg, cong = self.truth, self.cfg, self.truth.congestion
         planted = None if cong is None else (cong.from_node, cong.to_node)
-        # per service, in id order: its route and each segment's (d, c, sd, floor, congested)
+        # per service, in id order: its id, stops, cumulative_m and each segment's
+        # (d, c, sd, floor, congested)
         tables = []
         for service_id in sorted(truth.network.routes):
             route = truth.network.routes[service_id]
@@ -196,26 +208,57 @@ class RecordStream:
                 d = route.cumulative_m[k + 1] - route.cumulative_m[k]
                 segments.append((d, truth.true_speed[seg], math.sqrt(d * cfg.noise_sigma2),
                                  d / MAX_PHYSICAL_SPEED_MPS, seg == planted))
-            tables.append((route, segments))
+            tables.append((service_id, route.stops, route.cumulative_m, segments))
         rng = np.random.default_rng((cfg.seed, 1))
-        integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
+        raw, standard_normal = rng.bit_generator.random_raw, rng.standard_normal
         n_services, day_start, span = len(tables), cfg.day_start_s, cfg.day_seconds
         self.truncated = 0
         # Each record takes the draws of a service index, choice(m, 2, replace=False),
-        # uniform(0, span) and one normal(0, sd) per segment, from cheaper calls that
-        # tests/test_synth.py holds equal. choice runs Floyd's algorithm: a draw below
-        # m - 1, then one below m that becomes m - 1 if it repeats the first, then one
-        # 32-bit draw that shuffles the pair, whose order (a, b) discards.
+        # uniform(0, span) and one normal(0, sd) per segment. choice runs Floyd's
+        # algorithm: a draw below m - 1, then one below m that becomes m - 1 if it
+        # repeats the first, then one 32-bit draw that shuffles the pair, whose order
+        # (a, b) discards. All but the normals are rebuilt from the generator's raw
+        # 64-bit words by identities that tests/test_synth.py holds to numpy's:
+        # integers(n) draws nothing for n == 1, and else is Lemire's multiply-and-
+        # reject on a 32-bit draw; a 32-bit draw is the held high half of the last
+        # word split, or else the low half of the next word, whose high half is then
+        # held; random() takes a whole word. One random_raw call per record fetches
+        # the words of the fewest 32-bit draws a record can take, then of its start
+        # time. A redraw, or a route with more stops to draw, takes the words after
+        # them in stream order, and the start time the word after that.
+        reject_below = {n: (2**32 - n) % n for n in range(2, max(
+            [n_services, 2] + [len(stops) for _, stops, _, _ in tables]) + 1)}
+        draws = (n_services > 1) + min(2 + (len(stops) > 2) for _, stops, _, _ in tables)
+        n_words = (draws // 2 + 1, (draws + 1) // 2 + 1)  # with a half held, with none
+        held = -1  # the high half of the last word split, until it is drawn; -1 for none
+        words: list[int] = []  # the record's words not yet taken, in stream order
+
+        def integers(n: int) -> int:  # rng.integers(n)
+            nonlocal held
+            if n == 1:
+                return 0
+            while True:
+                if held >= 0:  # a 32-bit draw
+                    x, held = held, -1
+                else:
+                    word = words.pop(0) if words else raw()
+                    x, held = word & _LOW32, word >> 32
+                p = x * n
+                if p & _LOW32 >= reject_below[n]:
+                    return p >> 32
+
         for n in range(cfg.n_records):
-            route, segments = tables[integers(n_services)]
-            m = len(route.stops)
-            i = int(integers(0, m - 1))
-            j = int(integers(0, m))
+            words.extend(raw(n_words[held < 0]).tolist())
+            service_id, stops, cum, segments = tables[integers(n_services)]
+            m = len(stops)
+            i = integers(m - 1)
+            j = integers(m)
             if j == i:
                 j = m - 1
-            integers(0, 2)
+            integers(2)
             a, b = (i, j) if i < j else (j, i)
-            t_start = day_start + (0.0 + span * random())
+            u = ((words.pop(0) if words else raw()) >> 11) * 2.0**-53  # random()
+            t_start = day_start + (0.0 + span * u)
             t_cur = t_start
             for (d, c, sd, floor, congested), z in zip(segments[a:b],
                                                       standard_normal(b - a).tolist()):
@@ -228,15 +271,9 @@ class RecordStream:
             if t_cur >= _EPOCH_MAX:
                 raise ValueError(f"record r{n:06d} alights at {format_float(t_cur)}, outside "
                                  "years 1-9999 UTC; an earlier day_start_s keeps trips inside")
-            yield FlowRecord(
-                record_id=f"r{n:06d}",
-                service_id=route.service_id,
-                origin=route.stops[a],
-                destination=route.stops[b],
-                t_start=t_start,
-                t_end=t_cur,
-                distance_m=route.cumulative_m[b] - route.cumulative_m[a],
-            )
+            record_id, distance = f"r{n:06d}", cum[b] - cum[a]
+            check_record(record_id, stops[a], stops[b], t_start, t_cur, distance)
+            yield record_id, service_id, stops[a], stops[b], t_start, t_cur, distance
 
 
 def generate_records(

@@ -2,10 +2,11 @@
 
 Two days of records are drawn with the stdlib's random.Random, so the inputs do
 not depend on numpy. Each day runs infer-routes, train (edge, smoothed-edge and
-baseline1), detect, localize and crossval in process. The outputs are kept in
-tests/golden/<day>/, and tests/golden/manifest.json holds the sha256 of each,
-the Python minor version and the numpy version they were made with.
-tests/test_golden.py runs the days again and compares.
+baseline1), detect, localize and crossval in process. A third day is simulate's
+own: its records, truth, stdout and stderr on a small planted corridor. The
+outputs are kept in tests/golden/<day>/, and tests/golden/manifest.json holds
+the sha256 of each, the Python minor version and the numpy version they were
+made with. tests/test_golden.py runs the days again and compares.
 
     PYTHONPATH=src python tests/golden_runs.py   # rewrite the outputs and manifest
 
@@ -78,6 +79,17 @@ RUNS = (
     ("crossval", "crossval --records {d}/records.csv --routes {d}/routes.csv --folds 3 "
                  "--out {d}/crossval.csv"),
 )
+# day -> the simulate command that writes it, in {d}; no other command runs on it.
+# numpy draws its files, so they are named apart from the numpy-free ones below.
+SIMULATED = {
+    # three services share the corridor x00>x01>x02, where x00>x01 is slowed
+    # three-fold for the second two hours of a six-hour day
+    "simulated": "simulate --services 3 --stops 6 --shared-corridor 3 --n-records 300 "
+                 "--seed 5 --day-seconds 21600 --congest-index 6 --congest-start 7200 "
+                 "--congest-end 14400 --congest-factor 3 --out-records {d}/sim_records.csv "
+                 "--out-truth {d}/sim_truth.csv",
+}
+EVERY_DAY = (*DAYS, *SIMULATED)
 # Outputs that no numpy call reaches: compared byte for byte under any versions.
 NUMPY_FREE = ("records.csv", "routes.csv", "route_rejects.csv", "infer-routes.stdout",
               "infer-routes.stderr", "train-baseline1.stderr")
@@ -121,14 +133,19 @@ def day_records(name: str) -> str:
 
 
 def run_day(name: str, workdir: Path) -> dict[str, bytes]:
-    """Write the day's records under workdir, run every RUNS command, and return
-    each output file, stdout and stderr by its name."""
+    """Write the day's records under workdir and run every RUNS command on them,
+    or run a SIMULATED day's command; return each output file, stdout and stderr
+    by its name."""
     from flowanomaly.cli import run_command
 
     day = workdir / name
     day.mkdir(parents=True, exist_ok=True)
-    (day / "records.csv").write_text(day_records(name), encoding="utf-8")
-    for run_name, argv in RUNS:
+    if name in SIMULATED:
+        runs: tuple[tuple[str, str], ...] = (("simulate", SIMULATED[name]),)
+    else:
+        (day / "records.csv").write_text(day_records(name), encoding="utf-8")
+        runs = RUNS
+    for run_name, argv in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_command(argv.format(d=day).split())
@@ -151,7 +168,7 @@ def sha256(data: bytes) -> str:
 
 def main() -> int:
     """Rewrite tests/golden/ from the code as it is."""
-    outputs = {name: run_day(name, GOLDEN) for name in DAYS}
+    outputs = {name: run_day(name, GOLDEN) for name in EVERY_DAY}
     manifest = {
         **versions(),
         "numpy_free": list(NUMPY_FREE),

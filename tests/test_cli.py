@@ -139,6 +139,14 @@ class TestValidation:
         pytest.param("simulate", ["--day-start", "1e12"],
                      "day_start_s and day_start_s + day_seconds must lie within "
                      "years 1-9999 UTC", id="day-start-1e12"),
+        # numpy's seeding said only `expected non-negative integer`, and crossval
+        # said it after reading and resolving the whole record file
+        pytest.param("simulate", ["--seed", "-1"], "seed must be >= 0, got -1",
+                     id="simulate-seed-negative"),
+        pytest.param("crossval", ["--seed", "-3"], "seed must be >= 0, got -3",
+                     id="crossval-seed-negative"),
+        pytest.param("crossval", ["seed=-1"], "seed must be >= 0, got -1",
+                     id="crossval-config-seed-negative"),
     ])
     def test_non_finite_tunable_is_one_error_line(self, tmp_path, capsys, command, tunable,
                                                   want):

@@ -10,7 +10,7 @@ import json
 import math
 import re
 
-from golden_runs import DAYS, GOLDEN, MANIFEST, run_day, sha256, versions
+from golden_runs import EVERY_DAY, GOLDEN, MANIFEST, run_day, sha256, versions
 
 # Separators of the output formats: csv fields, key=value, report segment labels
 # (|from>to@length|) and the model file's spaced fields.
@@ -41,7 +41,8 @@ def _mismatch(got: str, kept: str) -> str | None:
 def test_outputs_match_the_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     want = manifest["sha256"]
-    got = {f"{day}/{name}": data for day in DAYS for name, data in run_day(day, tmp_path).items()}
+    got = {f"{day}/{name}": data for day in EVERY_DAY
+           for name, data in run_day(day, tmp_path).items()}
     assert sorted(got) == sorted(want)
     assert [name for name in want if sha256((GOLDEN / name).read_bytes()) != want[name]] == []
     exact = versions() == {"python": manifest["python"], "numpy": manifest["numpy"]}

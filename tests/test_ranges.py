@@ -218,6 +218,28 @@ def test_a_short_message_is_no_range(message):
     assert recordio._receive(read_fd) is None
 
 
+@pytest.mark.parametrize("cut", range(7))
+def test_a_message_cut_part_way_leaves_the_table_as_it_was(tmp_path, cut):
+    # the range's keys s9 and s8 are new to the table, so its keys are cut back too
+    path = write_lines(tmp_path / "records.csv", [HEADER] + mixed_rows(150)
+                       + [b"r8,s9,y,z,0,60,400"] + mixed_rows(150) + [b"r9,s8,y,z,0,60,400"])
+    start = line_starts(Path(path).read_bytes())[150]
+    table = recordio._parse_range(path, 0, start)[0]
+
+    def columns():
+        return (list(table.record_ids), list(table.keys), list(table.key_of),
+                table.t_start.tobytes(), table.t_end.tobytes(), table.distance.tobytes())
+
+    before = columns()
+    messages = recordio._messages(*recordio._parse_range(path, start, os.path.getsize(path)))
+    sent = b"".join(len(m).to_bytes(8, "little") + m for m in list(messages)[:cut + 1])
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, sent[:-1])  # message `cut` is one byte short
+    os.close(write_fd)
+    assert recordio._receive(read_fd, table) is None
+    assert columns() == before
+
+
 @needs_fork
 def test_a_bad_header_kills_and_reaps_the_workers(tmp_path, one_thread):
     path = write_lines(tmp_path / "records.csv", [b"record_id,board_stop"] + mixed_rows(1500))

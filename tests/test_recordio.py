@@ -213,6 +213,27 @@ class TestRoundTrip:
         assert got == records
 
 
+class TestWriteRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
+                              st.floats(min_value=0.0, exclude_min=True)), max_size=30))
+    def test_rows_are_the_per_field_formats(self, values):
+        records = [make_record(record_id=f"r{i}", service_id=f"s{i % 3}", t_start=min(a, b),
+                               t_end=max(a, b), distance_m=d)
+                   for i, (a, b, d) in enumerate(values) if a != b]
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recordio, "_RECORD_BLOCK", 7)  # rows span several blocks
+            write_records(iter(records), buf)
+        f = format_float
+        want = [HEADER] + [
+            f"{r.record_id},{r.service_id},{r.origin},{r.destination},"
+            f"{f(r.t_start)},{f(r.t_end)},{f(r.distance_m)}"
+            for r in records
+        ]
+        assert buf.getvalue() == "\n".join(want) + "\n"
+
+
 class TestWriteScored:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.sampled_from([0.0, -0.0, 1.5, 100.0 / 3.0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,13 +7,14 @@ import pytest
 
 import reference_synth
 
-from flowanomaly.core import resolve_paths
+from flowanomaly.core import ServiceRoute, build_network, resolve_paths
 from flowanomaly.models import TrainConfig, train_edge_model
 from flowanomaly.synth import (
     MAX_PHYSICAL_SPEED_MPS,
     PlantedCongestion,
     RecordStream,
     SynthConfig,
+    SynthTruth,
     _congested_base_time,
     generate_network,
     generate_records,
@@ -147,6 +149,77 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+LOW32 = 0xFFFFFFFF
+
+
+def _position(rng):
+    """A generator's 128-bit state and its held 32-bit half, or None if none is held."""
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+class RawWords:
+    """integers(0, n) and random() of a numpy Generator, rebuilt from its bit
+    generator's raw 64-bit words as RecordStream rebuilds them.
+
+    On entry it takes numpy's held 32-bit half over, and on exit it hands its own
+    back, so that numpy's draws can run in between. `redraws` counts the draws
+    that the multiply-and-reject step drew again.
+    """
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self.redraws = 0
+
+    def __enter__(self):
+        state = self.bit_generator.state
+        self.held = state["uinteger"] if state["has_uint32"] else None
+        return self
+
+    def __exit__(self, *exc):
+        state = self.bit_generator.state
+        if self.held is None:
+            state["has_uint32"] = 0
+        else:
+            state["has_uint32"], state["uinteger"] = 1, self.held
+        self.bit_generator.state = state
+
+    def next32(self):
+        if self.held is not None:
+            x, self.held = self.held, None
+            return x
+        word = int(self.bit_generator.random_raw())
+        self.held = word >> 32
+        return word & LOW32
+
+    def integers(self, n):
+        if n == 1:
+            return 0
+        p = self.next32() * n
+        while p & LOW32 < (2**32 - n) % n:
+            self.redraws += 1
+            p = self.next32() * n
+        return p >> 32
+
+    def random(self):
+        return (int(self.bit_generator.random_raw()) >> 11) * 2.0**-53
+
+
+# PCG64's 128-bit LCG multiplier. Each draw steps the state s to s * M + inc and
+# returns rotr64(high ^ low, s >> 122) of the new s, which is 0 when high == low.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def next_word_zero(rng):
+    """Set a PCG64 generator's state so that its next raw 64-bit word is 0."""
+    state = rng.bit_generator.state
+    after = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    state["state"]["state"] = ((after - state["state"]["inc"])
+                               * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128)
+    rng.bit_generator.state = state
+    return rng
+
+
 class TestNumpyIdentities:
     """The numpy draws RecordStream takes in place of the reference's calls.
 
@@ -198,6 +271,43 @@ class TestNumpyIdentities:
                 assert got.bit_generator.state == want.bit_generator.state, (seed, span)
 
 
+    BOUNDS = (1, 2, 15, 16, 17, 2**31 + 1, 3 * 2**30)
+
+    def test_bounded_draw_from_raw_words_is_integers(self):
+        redraws = dict.fromkeys(self.BOUNDS, 0)
+        held = set()
+        for seed in self.SEEDS:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(6):
+                for n in self.BOUNDS:
+                    self._other_draws((want, got), k)
+                    held.add(_position(got)[1] is not None)
+                    with RawWords(got) as words:
+                        drawn = [words.integers(n) for _ in range(3)]
+                    assert drawn == [int(want.integers(0, n)) for _ in range(3)], (seed, k, n)
+                    assert _position(got) == _position(want), (seed, k, n)
+                    redraws[n] += words.redraws
+        assert held == {False, True}  # draws start with and without a held half
+        # 2**31 + 1 redraws about half its draws and 3 * 2**30 a quarter; a power
+        # of two never does
+        assert redraws[2**31 + 1] > 300 and redraws[3 * 2**30] > 100, redraws
+        assert redraws[1] == redraws[2] == redraws[16] == 0
+
+    def test_start_time_from_a_raw_word_is_random(self):
+        for seed in self.SEEDS:
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(6):
+                self._other_draws((want, got), k)
+                with RawWords(got) as words:
+                    u = words.random()
+                assert _hex([u]) == _hex([want.random()]), (seed, k)
+                assert _position(got) == _position(want), (seed, k)  # the held half stays
+
+    def test_a_crafted_first_word_is_zero(self):
+        rng = next_word_zero(np.random.default_rng((9, 1)))
+        assert int(rng.bit_generator.random_raw()) == 0
+
+
 class TestReferenceGenerator:
     """RecordStream against the reference, which takes one numpy call per draw."""
 
@@ -216,6 +326,11 @@ class TestReferenceGenerator:
             congestion=PlantedCongestion("x00", "x01", 1.7e9 + 5000.0, 1.7e9 + 12000.0, 4.0)),
     }
 
+    CONFIGS["one-service"] = SynthConfig(n_services=1, stops_per_service=7, n_records=2000,
+                                         seed=7)
+    CONFIGS["one-service-two-stops"] = SynthConfig(n_services=1, stops_per_service=2,
+                                                   n_records=500, seed=8)
+
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_same_records_and_truncations(self, name):
         cfg = self.CONFIGS[name]
@@ -230,6 +345,34 @@ class TestReferenceGenerator:
             assert any(r.t_start < cfg.congestion.window_end and
                        r.t_end > cfg.congestion.window_start for r in records)
 
+    def test_hand_built_routes_of_different_stop_counts(self):
+        # a record on s1 takes three 32-bit draws and one on s2 or s3 four, so the
+        # words fetched for the fewest do not always cover a record's draws
+        routes = [ServiceRoute("s1", ("a0", "a1"), (0.0, 700.0)),
+                  ServiceRoute("s2", ("b0", "b1", "b2"), (0.0, 500.0, 1300.0)),
+                  ServiceRoute("s3", tuple(f"c{k}" for k in range(6)),
+                               tuple(450.0 * k for k in range(6)))]
+        network = build_network(routes)
+        truth = SynthTruth(network, {key: 5.0 + k for k, key in
+                                     enumerate(sorted(network.segments))}, None)
+        cfg = SynthConfig(n_records=3000, seed=9)
+        records, truncated = generate_records(truth, cfg)
+        assert (records, truncated) == reference_synth.generate_records(truth, cfg)
+        assert {r.service_id for r in records} == {"s1", "s2", "s3"}
+
+    @pytest.mark.parametrize("stops", [2, 5])
+    def test_redraws_take_the_words_after_the_fetched_ones(self, monkeypatch, stops):
+        # A first word of 0 makes the first service draw below 3 draw again twice,
+        # so the first record's draws run past the words fetched for it; numpy's
+        # own integers, in the reference, must agree.
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: next_word_zero(default_rng(seed)))
+        cfg = SynthConfig(n_services=3, stops_per_service=stops, n_records=200, seed=10)
+        truth = generate_network(cfg)
+        records, truncated = generate_records(truth, cfg)
+        assert (records, truncated) == reference_synth.generate_records(truth, cfg)
+
     def test_stream_repeats_its_day(self):
         cfg = self.CONFIGS["heavy-truncation"]
         stream = RecordStream(generate_network(cfg), cfg)
@@ -237,6 +380,9 @@ class TestReferenceGenerator:
         truncated = stream.truncated
         assert list(stream) == first
         assert stream.truncated == truncated > 0
+        # rows() draws the same day as the records' fields
+        assert list(stream.rows()) == [dataclasses.astuple(r) for r in first]
+        assert stream.truncated == truncated
 
 
 class TestPiecewiseCongestion:
@@ -325,6 +471,11 @@ class TestConfigValidation:
         # that named neither the field nor the value
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             SynthConfig(**{field: value})
+
+    def test_negative_seed(self):
+        # numpy's seeding rejected it, in words that named no field
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SynthConfig(seed=-1)
 
     def test_speed_above_physical_cap(self):
         with pytest.raises(ValueError):
