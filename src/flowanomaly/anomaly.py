@@ -100,10 +100,10 @@ def _contained(flows: Flows, rows: Sequence[int]) -> list[list[int]]:
     to the starts strictly inside its window, so the scan touches only rows
     that board during its trip: the candidates found, not n^2.
     """
-    t_start, t_end, paths = flows.t_start, flows.t_end, flows.record_paths
+    t_start, t_end, paths, path_of = flows.t_start, flows.t_end, flows.paths, flows.path_of
     buckets: dict[tuple, list[tuple[float, float, int]]] = {}
     for p, i in enumerate(rows):
-        buckets.setdefault(paths[i].nodes, []).append((t_start[i], t_end[i], p))
+        buckets.setdefault(paths[path_of[i]].nodes, []).append((t_start[i], t_end[i], p))
     index = {}
     for key, entries in buckets.items():
         entries.sort()
@@ -137,12 +137,12 @@ def containment_counts(flows: Flows, rows: Sequence[int]) -> dict[str, int]:
 
 def _congestion_entries(flows: Flows, rows: list[int]) -> list[tuple[Segment, float, float]]:
     """The segments of the rows, each with its row's window, by start and record id."""
-    t_start, t_end, paths = flows.t_start, flows.t_end, flows.record_paths
+    t_start, t_end, paths, path_of = flows.t_start, flows.t_end, flows.paths, flows.path_of
     entries: list[tuple[Segment, float, float]] = []
     seen = set()
     for j in sorted(rows, key=lambda j: (t_start[j], flows.record_ids[j])):
         w0, w1 = t_start[j], t_end[j]
-        for seg in paths[j].segments:
+        for seg in paths[path_of[j]].segments:
             key = (seg.from_node, seg.to_node, w0, w1)
             if key not in seen:
                 seen.add(key)
@@ -181,7 +181,7 @@ def rank_anomalies(
         i = rows[p]
         witnesses = [rows[q] for q in contained[p] if not has_inner[q]]
         reports.append(AnomalyReport(
-            record_id=record_ids[i], path=flows.record_paths[i], t_start=flows.t_start[i],
+            record_id=record_ids[i], path=flows.paths[flows.path_of[i]], t_start=flows.t_start[i],
             t_end=flows.t_end[i], alpha=alphas[i], expected_s=expected[i],
             containment_count=counts[p],
             congested_segments=tuple(_congestion_entries(flows, witnesses or [i])),

@@ -261,8 +261,8 @@ class Flows:
     Build one with from_table (a parsed RecordTable on a network, as the CLI
     does) or from_records (a FlowRecord list and its parallel paths). Record k
     has record_ids[k], t_start[k], t_end[k], observed[k] (their difference; the
-    three are float arrays), distance[k], path_of[k] and record_paths[k] (its
-    Path, paths[path_of[k]]); distinct Path object j (in order of first use) is
+    three are float arrays), distance[k] and path_of[k], its Path being
+    paths[path_of[k]]; distinct Path object j (in order of first use) is
     paths[j], with segs[j] (speed positions) and dists[j]; keys[i] is the
     segment of speed position i.
     """
@@ -272,7 +272,6 @@ class Flows:
         self.record_ids, self.t_start, self.t_end = record_ids, t_start, t_end
         self.observed = array("d", map(sub, t_end, t_start))
         self.distance, self.path_of, self.paths = distance, path_of, paths
-        self.record_paths = list(map(paths.__getitem__, path_of))
         index: dict[tuple[NodeId, NodeId], int] = {}
         # lists: resized tuple(generator) rows piled up in CPython's tuple free lists
         self.segs = [[index.setdefault(s.key, len(index)) for s in p.segments]

@@ -61,6 +61,8 @@ def make_folds(flows: Flows, k: int, seed: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if seed < 0:  # numpy's seeding would reject it in words that name no seed
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if len(flows) < k:
         raise TooFewRecords(len(flows), k)
     import numpy as np  # imported here: only seeded draws need numpy, which is slow to load

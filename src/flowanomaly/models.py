@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("tau and psi must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.shuffle_seed < 0:  # numpy's seeding would reject it in its own words
+            raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
         if not (self.c_min > 0 and self.c_min * self.c_min > 0):
             raise ValueError("c_min must be > 0 with a square that does not underflow to 0")
 

@@ -21,6 +21,7 @@ import marshal
 import math
 import os
 import signal
+import sys
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -218,26 +219,15 @@ def read_table(source: str | IO[str]) -> tuple[RecordTable, list[RejectedRow]]:
     """Parse a record file or stream into columns; invalid rows land in the reject list.
 
     Rows are numbered from 2 (the header is line 1), one number per row read.
-    A large file is parsed in line-aligned byte ranges, one per CPU (see
-    _split_points); the table and rejects are those of the one-process parse.
+    A file is parsed by _read_ranges: a large one in line-aligned byte ranges,
+    one per CPU (see _split_points), any other one, a pipe included, as a single
+    range in this process; the table and rejects are those of the stream parse.
     """
     if isinstance(source, str):
-        bounds = _split_points(source)
-        if bounds is not None:
-            return _read_ranges(source, bounds)
-        try:  # an undecodable byte becomes a lone surrogate that rejects its row only
-            fh: IO[str] = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
-        except OSError as exc:
-            raise UnreadableInput(f"cannot open {source!r}: {exc}") from exc
-    else:
-        fh = source
-    try:
-        reader = csv.reader(fh)
-        _check_header(reader)
-        table, rejects, _, n_rows = _read_rows(reader, 2)
-    finally:
-        if fh is not source:
-            fh.close()
+        return _read_ranges(source, _split_points(source) or (0, None))
+    reader = csv.reader(source)
+    _check_header(reader)
+    table, rejects, _, n_rows = _read_rows(reader, 2)
     if n_rows and not table:
         raise AllRowsRejected(n_rows)
     return table, rejects
@@ -285,12 +275,14 @@ def _split_points(path: str) -> list[int] | None:
 
 
 class _ByteRange(io.RawIOBase):
-    """Bytes [start, end) of a binary file, as a stream that ends at end, so a
-    range is decoded a block at a time and never held whole."""
+    """Bytes [start, end) of a binary file, or all from start when end is None, as
+    a stream that ends at end, so a range is decoded a block at a time and never
+    held whole."""
 
-    def __init__(self, fh: IO[bytes], start: int, end: int):
-        fh.seek(start)
-        self._fh, self._left = fh, end - start
+    def __init__(self, fh: IO[bytes], start: int, end: int | None):
+        if start:  # a file of one range may be a pipe, which cannot seek
+            fh.seek(start)
+        self._fh, self._left = fh, sys.maxsize if end is None else end - start
 
     def readable(self) -> bool:
         return True
@@ -301,7 +293,7 @@ class _ByteRange(io.RawIOBase):
         return n
 
 
-def _parse_range(path: str, start: int, end: int
+def _parse_range(path: str, start: int, end: int | None
                  ) -> tuple[RecordTable, list[RejectedRow], int, int]:
     """_read_rows of the rows in bytes [start, end) of a record file; from 0 its
     header is checked and its rows numbered from 2, as in the file, and the rows
@@ -331,7 +323,7 @@ def _messages(table: RecordTable, rejects: list[RejectedRow], n_read: int, n_row
     yield marshal.dumps(([(rej.line_no, rej.reason) for rej in rejects], n_read, n_rows))
 
 
-def _fork_range(path: str, start: int, end: int) -> tuple[int, int]:
+def _fork_range(path: str, start: int, end: int) -> tuple[int, IO[bytes]]:
     """Fork a worker that writes the range's _messages, each length first, to a
     pipe; return the worker's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
@@ -343,7 +335,7 @@ def _fork_range(path: str, start: int, end: int) -> tuple[int, int]:
         raise
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return pid, open(read_fd, "rb")
     code = 1
     try:  # so the worker runs no caller's finally or atexit, and flushes no inherited buffer
         os.close(read_fd)
@@ -368,91 +360,54 @@ def _message(fh: IO[bytes]) -> bytes:
     return message
 
 
-def _columns(fh: IO[bytes]) -> Iterator[Sequence]:
-    """The columns of a worker's messages, in _extend's order, each read and decoded
-    only when the one before it has been taken."""
-    yield marshal.loads(_message(fh))
-    yield marshal.loads(_message(fh))
-    yield array("q", _message(fh))
-    for _ in range(3):
-        yield array("d", _message(fh))
-
-
-def _extend(table: RecordTable, columns: Iterator[Sequence]) -> None:
-    """Append a range's record ids, keys, key_of, t_start, t_end and distance to
-    table, taking each from columns once the one before it is appended. Keys new
-    to the table join it in first-seen order, and key_of is renumbered to match."""
+def _extend(table: RecordTable, fh: IO[bytes]) -> None:
+    """Append the record ids, keys, key_of, t_start, t_end and distance that a
+    worker sends through fh to table, each column read and decoded only once the
+    one before it is appended, so only one is in transit. Keys new to the table
+    join it in first-seen order, and key_of is renumbered to match."""
     key_index = {key: k for k, key in enumerate(table.keys)}
-    table.record_ids.extend(next(columns))
-    renumber = [key_index.setdefault(key, len(key_index)) for key in next(columns)]
+    table.record_ids.extend(marshal.loads(_message(fh)))
+    renumber = [key_index.setdefault(key, len(key_index)) for key in marshal.loads(_message(fh))]
     table.keys.extend(islice(key_index, len(table.keys), None))
-    table.key_of.extend(map(renumber.__getitem__, next(columns)))
+    table.key_of.extend(map(renumber.__getitem__, array("q", _message(fh))))
     for column in (table.t_start, table.t_end, table.distance):
-        column.extend(next(columns))
+        column.extend(array("d", _message(fh)))
 
 
-def _receive(read_fd: int, table: RecordTable | None = None
-             ) -> tuple[RecordTable, list[RejectedRow], int, int] | None:
-    """A worker's range from its pipe, appended to table (a new one by default) a
-    column at a time, so only one column is in transit; then table with the
-    range's rejects and counts, as _parse_range returns them. None if the worker
-    sent less than it announced, with table as it was."""
-    table = RecordTable() if table is None else table
-    n_rows, n_keys = len(table), len(table.keys)
-    try:
-        with open(read_fd, "rb") as fh:
-            _extend(table, _columns(fh))
-            rejects, n_read, n = marshal.loads(_message(fh))
-    except EOFError:
-        for column in (table.record_ids, table.key_of, table.t_start, table.t_end, table.distance):
-            del column[n_rows:]
-        del table.keys[n_keys:]
-        return None
-    return table, [RejectedRow(*rej) for rej in rejects], n_read, n
-
-
-def _read_ranges(path: str, bounds: Sequence[int]) -> tuple[RecordTable, list[RejectedRow]]:
+def _read_ranges(path: str, bounds: Sequence[int | None]
+                 ) -> tuple[RecordTable, list[RejectedRow]]:
     """read_table of a record file cut at bounds: the first range is parsed here
     and each other one in a forked worker, then all are merged in file order.
 
     Keys are renumbered by first appearance and each reject's line offset by the
     rows that the ranges before it read, so the result is the one-process parse's.
-    A range whose worker cannot start, dies or sends a short message is parsed
-    here. Every worker is reaped before this returns or raises.
+    If any worker cannot start, dies or sends less than it announced, the whole
+    file is parsed here instead. Every worker is killed and reaped before this
+    returns or raises; one that has sent its range has nothing left to do.
     """
     ranges = list(zip(bounds, bounds[1:]))
-    pids: list[int] = []
-    read_fds: dict[int, int] = {}  # range -> the read end of its worker's pipe
+    workers: list[tuple[int, IO[bytes]]] = []
     try:
-        for i, (start, end) in enumerate(ranges[1:], start=1):
-            try:
-                pid, read_fds[i] = _fork_range(path, start, end)
-            except OSError:  # no pipe or no process left
-                continue
-            pids.append(pid)
+        for start, end in ranges[1:]:
+            workers.append(_fork_range(path, start, end))
         table, rejects, n_read, n_rows = _parse_range(path, *ranges[0])
         first_line = 2 + n_read  # the line number of the next range's first row
-        for i, (start, end) in enumerate(ranges[1:], start=1):
-            received = _receive(read_fds.pop(i), table) if i in read_fds else None
-            if received is None:
-                part, part_rejects, n_read, n = _parse_range(path, start, end)
-                _extend(table, iter((part.record_ids, part.keys, part.key_of, part.t_start,
-                                     part.t_end, part.distance)))
-            else:
-                _, part_rejects, n_read, n = received
-            rejects.extend(RejectedRow(first_line + rej.line_no, rej.reason)
-                           for rej in part_rejects)
+        for _, fh in workers:
+            _extend(table, fh)
+            part_rejects, n_read, n = marshal.loads(_message(fh))
+            rejects.extend(RejectedRow(first_line + line_no, reason)
+                           for line_no, reason in part_rejects)
             first_line += n_read
             n_rows += n
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
+    except (OSError, EOFError):  # no pipe or no process left, or a worker died
+        table = None
     finally:
-        for fd in read_fds.values():
-            os.close(fd)
-        for pid in pids:
+        for pid, fh in workers:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if table is None:
+        table, rejects, _, n_rows = _parse_range(path, 0, None)
     if n_rows and not table:
         raise AllRowsRejected(n_rows)
     return table, rejects

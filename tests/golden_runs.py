@@ -3,7 +3,8 @@
 Two days of records are drawn with the stdlib's random.Random, so the inputs do
 not depend on numpy. Each day runs infer-routes, train (edge, smoothed-edge and
 baseline1), detect, localize and crossval in process. A third day is simulate's
-own: its records, truth, stdout and stderr on a small planted corridor. The
+own: its records, truth, stdout and stderr on a small planted corridor. A
+fourth, errors, holds runs that exit 2: the error line each prints. The
 outputs are kept in tests/golden/<day>/, and tests/golden/manifest.json holds
 the sha256 of each, the Python minor version and the numpy version they were
 made with. tests/test_golden.py runs the days again and compares.
@@ -89,7 +90,26 @@ SIMULATED = {
                  "--congest-end 14400 --congest-factor 3 --out-records {d}/sim_records.csv "
                  "--out-truth {d}/sim_truth.csv",
 }
-EVERY_DAY = (*DAYS, *SIMULATED)
+# day -> (its input files, its runs), each run exiting 2 with its error line on
+# stderr; the day's directory is kept as {d} there, so the bytes name no temp dir.
+FAILING = {
+    "errors": (
+        {"bad_header.csv": "record_id,board_stop\nr1,a\n",
+         "rejected.csv": "record_id,service_id,board_stop,alight_stop,board_time,alight_time,"
+                         "distance_m\nr1,s1,a,b,x,100,500\n\nr2,s1,a,a,0,100,500\n"},
+        (("missing-records", "infer-routes --records {d}/missing.csv --out-routes "
+                             "{d}/routes.csv --out-rejects {d}/route_rejects.csv"),
+         ("bad-header", "infer-routes --records {d}/bad_header.csv --out-routes {d}/routes.csv "
+                        "--out-rejects {d}/route_rejects.csv"),
+         ("all-rejected", "infer-routes --records {d}/rejected.csv --out-routes {d}/routes.csv "
+                          "--out-rejects {d}/route_rejects.csv"),
+         ("negative-shuffle-seed", "train --records {d}/rejected.csv --routes {d}/routes.csv "
+                                   "--shuffle-seed -1 --out-model {d}/edge.model"),
+         ("negative-seed", "crossval --records {d}/rejected.csv --routes {d}/routes.csv "
+                           "--seed -1 --out {d}/crossval.csv")),
+    ),
+}
+EVERY_DAY = (*DAYS, *SIMULATED, *FAILING)
 # Outputs that no numpy call reaches: compared byte for byte under any versions.
 NUMPY_FREE = ("records.csv", "routes.csv", "route_rejects.csv", "infer-routes.stdout",
               "infer-routes.stderr", "train-baseline1.stderr")
@@ -134,14 +154,20 @@ def day_records(name: str) -> str:
 
 def run_day(name: str, workdir: Path) -> dict[str, bytes]:
     """Write the day's records under workdir and run every RUNS command on them,
-    or run a SIMULATED day's command; return each output file, stdout and stderr
-    by its name."""
+    run a SIMULATED day's command, or write a FAILING day's inputs and run its
+    commands; return each output file, stdout and stderr by its name."""
     from flowanomaly.cli import run_command
 
     day = workdir / name
     day.mkdir(parents=True, exist_ok=True)
+    want_code = 0
     if name in SIMULATED:
         runs: tuple[tuple[str, str], ...] = (("simulate", SIMULATED[name]),)
+    elif name in FAILING:
+        inputs, runs = FAILING[name]
+        for file, text in inputs.items():
+            (day / file).write_text(text, encoding="utf-8")
+        want_code = 2
     else:
         (day / "records.csv").write_text(day_records(name), encoding="utf-8")
         runs = RUNS
@@ -149,10 +175,11 @@ def run_day(name: str, workdir: Path) -> dict[str, bytes]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_command(argv.format(d=day).split())
-        if code != 0:
+        if code != want_code:
             raise AssertionError(f"{name}: {run_name} exited {code}: {err.getvalue()}")
         (day / f"{run_name}.stdout").write_text(out.getvalue(), encoding="utf-8")
-        (day / f"{run_name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+        (day / f"{run_name}.stderr").write_text(err.getvalue().replace(str(day), "{d}"),
+                                                encoding="utf-8")
     return {p.name: p.read_bytes() for p in sorted(day.iterdir())}
 
 

@@ -147,6 +147,9 @@ class TestValidation:
                      id="crossval-seed-negative"),
         pytest.param("crossval", ["seed=-1"], "seed must be >= 0, got -1",
                      id="crossval-config-seed-negative"),
+        # TrainConfig took it, and train exited 0 with an edge fit that never reads it
+        pytest.param("train", ["--shuffle-seed", "-1"], "shuffle_seed must be >= 0, got -1",
+                     id="train-shuffle-seed-negative"),
     ])
     def test_non_finite_tunable_is_one_error_line(self, tmp_path, capsys, command, tunable,
                                                   want):

@@ -66,7 +66,7 @@ def column_fields(flows):
         [t.hex() for t in flows.t_end],
         [t.hex() for t in flows.observed],
         [d.hex() for d in flows.distance],
-        [id(p) for p in flows.record_paths],
+        [id(flows.paths[j]) for j in flows.path_of],
         flows.path_of,
         [id(p) for p in flows.paths],
         flows.segs,
@@ -146,7 +146,8 @@ class TestTableValidationMatchesPerRecord:
                  r.t_start.hex(), r.t_end.hex(), r.distance_m.hex())
                 for r in want_kept
             ]
-            assert all(p is q for p, q in zip(flows.record_paths, want_paths))
+            assert all(p is q for p, q in zip([flows.paths[j] for j in flows.path_of],
+                                              want_paths))
             assert column_fields(flows) == column_fields(Flows.from_records(want_kept, want_paths))
             seen["kept"] += len(want_kept)
             seen["skipped"] += want_skipped

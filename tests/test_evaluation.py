@@ -104,6 +104,11 @@ class TestFolds:
         with pytest.raises(ValueError):
             make_folds(self.flows(5), 1, seed=0)
 
+    def test_a_negative_seed_is_named(self):
+        # a library caller got numpy's `expected non-negative integer`
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            make_folds(self.flows(5), 2, seed=-1)
+
 
 class TestKfold:
     def test_baselines_permutation_blind(self):

@@ -697,7 +697,7 @@ class TestInlineStepMatchesOracle:
         want = [id(p) for p in resolve_paths(net, records)]
         for call in spy.call_args_list:
             assert call.args[1] is flows
-            assert [id(p) for p in call.args[1].record_paths] == want
+            assert [id(call.args[1].paths[j]) for j in call.args[1].path_of] == want
 
 
 class TestExpectedTimesMatchPerRecordLoop:

@@ -3,18 +3,21 @@
 A record file of more than one range is parsed a range per forked worker and
 merged in file order; the table, its key order, the rejects and
 AllRowsRejected must be exactly those of one csv pass over the whole file.
-The merge is driven in-process through _read_ranges with explicit bounds and
-no worker, and the forked path with real workers, each reaped before
-read_table returns or raises.
+The merge is driven through _read_ranges with explicit bounds and real
+workers, each killed and reaped before it returns or raises. A worker that
+cannot start, dies or sends less than it announced means a whole-file parse
+in the process, and a file of one range, a pipe included, is parsed there too.
 """
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flowanomaly
 from flowanomaly import recordio
@@ -65,16 +68,6 @@ def record_files(draw, quotes=False):
     return data[:len(data) - draw(st.sampled_from([0, 0, len(ends[-1])]))]  # maybe no last end
 
 
-def in_process(path, bounds):
-    """_read_ranges with every range parsed here, as when no worker can start."""
-    def no_fork(*args):
-        raise OSError("no fork")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recordio, "_fork_range", no_fork)
-        return outcome(lambda: _read_ranges(str(path), bounds))
-
-
 def outcome(parse):
     """A parse's table (floats as bytes) and rejects, or the error it raised."""
     try:
@@ -105,20 +98,72 @@ def assert_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-@settings(max_examples=300, deadline=None)
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="needs os.fork")
+
+
+@pytest.fixture
+def one_thread():
+    """Skip where this process has more threads than its own, which read_table
+    would not fork, nor should a test."""
+    if len(os.listdir("/proc/self/task")) > 1:
+        pytest.skip("this process has more than one thread")
+
+
+def parent_parses(mp):
+    """Have _parse_range note each (start, end) that this process parses; the notes."""
+    parsed, parent, parse_range = [], os.getpid(), recordio._parse_range
+
+    def noted(path, start, end):
+        if os.getpid() == parent:
+            parsed.append((start, end))
+        return parse_range(path, start, end)
+
+    mp.setattr(recordio, "_parse_range", noted)
+    return parsed
+
+
+def forked(path, bounds):
+    """_read_ranges with a real worker for each range after the first; checks
+    that it forked them all and parsed only the first range itself, so that the
+    ranges were merged, and that every worker was reaped."""
+    forks, fork_range = [], recordio._fork_range
+
+    def counted_fork(*args):
+        forks.append(args)
+        return fork_range(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recordio, "_fork_range", counted_fork)
+        parsed = parent_parses(mp)
+        result = outcome(lambda: _read_ranges(str(path), bounds))
+    assert len(forks) == len(bounds) - 2
+    assert parsed == [tuple(bounds[:2])]
+    assert_reaped()
+    return result
+
+
+# one_thread holds no state, so hypothesis may share it across examples
+forking_examples = settings(deadline=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@needs_fork
+@settings(forking_examples, max_examples=300)
 @given(data=record_files(), cuts=st.data())
-def test_ranges_merge_to_the_one_process_parse(workdir, data, cuts):
+def test_ranges_merge_to_the_one_process_parse(workdir, one_thread, data, cuts):
     path = workdir / "records.csv"
     path.write_bytes(data)
     starts = line_starts(data)
     drawn = cuts.draw(st.lists(st.sampled_from(starts), unique=True, max_size=4)) if starts else []
     bounds = [0, *sorted(drawn), len(data)]
-    assert in_process(path, bounds) == one_process(path)
+    assert forked(path, bounds) == one_process(path)
 
 
-@settings(max_examples=200, deadline=None)
+@needs_fork
+@settings(forking_examples, max_examples=200)
 @given(data=record_files(quotes=True))
-def test_split_points_end_ranges_after_a_newline_and_keep_quotes_whole(workdir, data):
+def test_split_points_end_ranges_after_a_newline_and_keep_quotes_whole(workdir, one_thread, data):
     path = workdir / "split.csv"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
@@ -132,19 +177,7 @@ def test_split_points_end_ranges_after_a_newline_and_keep_quotes_whole(workdir, 
     assert bounds[0] == 0 and bounds[-1] == len(data) and len(bounds) > 2
     assert bounds == sorted(set(bounds))
     assert all(data[b - 1:b] == b"\n" for b in bounds[1:-1])
-    assert in_process(path, bounds) == one_process(path)
-
-
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="needs os.fork")
-
-
-@pytest.fixture
-def one_thread():
-    """Skip where this process has more threads than its own, which read_table
-    would not fork, nor should a test."""
-    if len(os.listdir("/proc/self/task")) > 1:
-        pytest.skip("this process has more than one thread")
+    assert forked(path, bounds) == one_process(path)
 
 
 def write_lines(path, lines):
@@ -212,32 +245,99 @@ def test_a_worker_that_dies_has_its_range_parsed_by_the_parent(tmp_path, monkeyp
 
 @pytest.mark.parametrize("message", [b"", b"\x05", (100).to_bytes(8, "little") + b"short"])
 def test_a_short_message_is_no_range(message):
+    # no length, part of one, or fewer bytes than announced: _read_ranges parses the file
     read_fd, write_fd = os.pipe()
     os.write(write_fd, message)
     os.close(write_fd)
-    assert recordio._receive(read_fd) is None
+    with open(read_fd, "rb") as fh, pytest.raises(EOFError):
+        recordio._message(fh)
 
 
-@pytest.mark.parametrize("cut", range(7))
-def test_a_message_cut_part_way_leaves_the_table_as_it_was(tmp_path, cut):
-    # the range's keys s9 and s8 are new to the table, so its keys are cut back too
-    path = write_lines(tmp_path / "records.csv", [HEADER] + mixed_rows(150)
-                       + [b"r8,s9,y,z,0,60,400"] + mixed_rows(150) + [b"r9,s8,y,z,0,60,400"])
-    start = line_starts(Path(path).read_bytes())[150]
-    table = recordio._parse_range(path, 0, start)[0]
+class Overlong(bytes):
+    """A message whose announced length is one byte more than it holds."""
 
-    def columns():
-        return (list(table.record_ids), list(table.keys), list(table.key_of),
-                table.t_start.tobytes(), table.t_end.tobytes(), table.distance.tobytes())
+    def __len__(self):
+        return super().__len__() + 1
 
-    before = columns()
-    messages = recordio._messages(*recordio._parse_range(path, start, os.path.getsize(path)))
-    sent = b"".join(len(m).to_bytes(8, "little") + m for m in list(messages)[:cut + 1])
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, sent[:-1])  # message `cut` is one byte short
-    os.close(write_fd)
-    assert recordio._receive(read_fd, table) is None
-    assert columns() == before
+
+@needs_fork
+@pytest.mark.parametrize("sent", [*range(7), "short"])
+def test_a_worker_that_sends_less_than_it_announced_means_a_whole_file_parse(
+        tmp_path, monkeypatch, sent, one_thread):
+    # the first worker's messages stop after message `sent`, or its last is a byte short
+    path = write_lines(tmp_path / "records.csv", [HEADER] + mixed_rows(1500))
+    bounds = [0, *line_starts(Path(path).read_bytes())[500::500], os.path.getsize(path)]
+    assert len(bounds) == 4
+    fork_range, messages, cut = recordio._fork_range, recordio._messages, {}
+
+    def marked_fork(path, start, end):
+        cut["here"] = start == bounds[1]  # the worker forked next inherits the mark
+        return fork_range(path, start, end)
+
+    def stopping(*args):
+        sent_all = list(messages(*args))
+        if not cut["here"]:
+            return sent_all
+        if sent == "short":
+            return [*sent_all[:-1], Overlong(sent_all[-1])]
+        return sent_all[:sent]
+
+    monkeypatch.setattr(recordio, "_fork_range", marked_fork)
+    monkeypatch.setattr(recordio, "_messages", stopping)
+    parsed = parent_parses(monkeypatch)
+    assert outcome(lambda: _read_ranges(path, bounds)) == one_process(path)
+    assert parsed == [(0, bounds[1]), (0, None)]
+    assert_reaped()
+
+
+@needs_fork
+def test_a_fork_that_fails_kills_the_workers_and_parses_the_file_here(tmp_path, monkeypatch,
+                                                                      one_thread):
+    path = write_lines(tmp_path / "records.csv", [HEADER] + mixed_rows(1500))
+    bounds = [0, *line_starts(Path(path).read_bytes())[400::400], os.path.getsize(path)]
+    assert len(bounds) == 5  # three forks
+    parent, fork_range, parse_range, waitpid = (
+        os.getpid(), recordio._fork_range, recordio._parse_range, os.waitpid)
+    pids, reaped = [], []
+
+    def second_fails(*args):
+        if pids:
+            raise OSError("no process left")
+        pid, fh = fork_range(*args)
+        pids.append(pid)
+        return pid, fh
+
+    def hanging(*args):  # the first worker ends only when it is killed
+        if os.getpid() != parent:
+            time.sleep(60)
+        return parse_range(*args)
+
+    def recorded(pid, options):
+        result = waitpid(pid, options)
+        reaped.append(result)
+        return result
+
+    monkeypatch.setattr(recordio, "_fork_range", second_fails)
+    monkeypatch.setattr(recordio, "_parse_range", hanging)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    assert outcome(lambda: _read_ranges(path, bounds)) == one_process(path)
+    assert [(pid, os.WIFSIGNALED(status) and os.WTERMSIG(status)) for pid, status in reaped] \
+        == [(pids[0], signal.SIGKILL)]
+    assert_reaped()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_parses_as_its_stream(tmp_path):
+    # more rows than a pipe buffers, so the reader must follow the writer
+    path = write_lines(tmp_path / "records.csv", [HEADER] + mixed_rows(8000))
+    assert os.path.getsize(path) > 1 << 16
+    feeder = subprocess.Popen(
+        [sys.executable, "-c", "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), "
+         "sys.stdout.buffer)", path], stdout=subprocess.PIPE)
+    with feeder:
+        piped = outcome(lambda: read_table(f"/dev/fd/{feeder.stdout.fileno()}"))
+    assert feeder.returncode == 0
+    assert piped == one_process(path)
 
 
 @needs_fork
